@@ -19,7 +19,7 @@
 //! debt by policy ([`Rule::baselineable`]).
 
 use crate::rules::{Finding, Rule, ALL_RULES};
-use fairbridge_obs::json::{self, Value};
+use fairbridge_obs::json::{self, push_str_lit, Value};
 use std::collections::BTreeMap;
 
 /// Grandfathered violation counts: file → rule → count.
@@ -84,7 +84,9 @@ impl Baseline {
                 out.push(',');
             }
             first_file = false;
-            out.push_str(&format!("\n    \"{}\": {{", json_escape(file)));
+            out.push_str("\n    ");
+            push_str_lit(&mut out, file);
+            out.push_str(": {");
             let mut first_rule = true;
             for (rule, n) in per_rule {
                 if !first_rule {
@@ -283,32 +285,17 @@ pub fn report_json(
             out.push(',');
         }
         first = false;
+        out.push_str("{\"file\":");
+        push_str_lit(&mut out, &f.file);
         out.push_str(&format!(
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&f.file),
+            ",\"line\":{},\"rule\":\"{}\",\"message\":",
             f.line,
-            f.rule.id(),
-            json_escape(&f.message)
+            f.rule.id()
         ));
+        push_str_lit(&mut out, &f.message);
+        out.push('}');
     }
     out.push_str("]}");
-    out
-}
-
-/// Escapes a string for embedding in JSON.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

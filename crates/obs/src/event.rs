@@ -13,6 +13,7 @@
 //! `"kind"` discriminator) so the crate stays dependency-free; the
 //! matching parser lives in [`crate::json`].
 
+use crate::json::push_str_lit;
 use std::fmt::Write as _;
 
 /// The envelope around one telemetry record.
@@ -264,25 +265,6 @@ impl FairnessEvent {
             FairnessEvent::BenchRegressed { .. } => "bench_regressed",
         }
     }
-}
-
-/// Appends `s` as a JSON string literal (quoted, escaped).
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Appends an `f64` as a JSON number, or `null` when not finite (JSON has

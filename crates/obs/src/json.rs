@@ -1,13 +1,27 @@
-//! A minimal JSON reader for validating emitted telemetry trails.
+//! The workspace's one JSON reader and string writer.
 //!
-//! The sinks *write* JSON by hand ([`Event::to_json`]); this module is
-//! the matching read side, so tests, the `--check-telemetry` verifier
-//! and downstream tooling can confirm a trail is well-formed without any
-//! external dependency. It is a straightforward recursive-descent parser
-//! over the full JSON grammar (objects, arrays, strings with escapes,
-//! numbers, booleans, null); numbers are read as `f64`.
+//! [`parse`] reads the daemon's untrusted `/audit` and `/mitigate`
+//! request bodies, `fb-trace`'s telemetry trails and `fb-lint`'s
+//! baselines; [`push_str_lit`] is the matching write side that every
+//! hand-rolled JSON renderer (telemetry events, wire responses, lint
+//! reports) quotes strings with. There is no external dependency.
 //!
-//! [`Event::to_json`]: crate::event::Event::to_json
+//! The reader is a recursive-descent parser over the full JSON grammar
+//! (objects, arrays, strings with escapes, numbers, booleans, null),
+//! with numbers read as `f64`. It is linear in the input size: a string
+//! is copied one run at a time, up to the next `"` or `\`, and is never
+//! re-scanned. Arrays and objects nest at most [`MAX_DEPTH`] levels, so
+//! a nesting bomb is an `Err`, not a stack overflow. A number of the
+//! form `-?digits(.digits)?` with at most 15 digits is read exactly as
+//! `mantissa / 10^k` (both operands exact `f64`s, so the one division is
+//! correctly rounded); every other token goes through
+//! `str::parse::<f64>`, which gives the same bits.
+
+use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. The wire
+/// format nests 4 levels; trails and lint baselines nest fewer.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,8 +95,10 @@ impl Value {
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -103,9 +119,67 @@ pub fn parse_lines(input: &str) -> Result<Vec<Value>, String> {
         .collect()
 }
 
+/// Appends `s` as a JSON string literal: quote, backslash, newline,
+/// carriage return and tab get their short escapes, other control
+/// characters `\u00XX`, and everything else is copied as is.
+pub fn push_str_lit(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// `10^k` for every `k` the exact number path divides by; each is an
+/// exact `f64`.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// The exact value of a `-?digits(.digits)?` token with at most 15
+/// digits and no leading zero, or `None` for any other token. The
+/// mantissa is below `2^53` and `10^k` is exact, so the one IEEE
+/// division is correctly rounded: the same bits as `str::parse::<f64>`.
+fn exact_decimal(token: &[u8]) -> Option<f64> {
+    let (negative, digits) = match token.strip_prefix(b"-") {
+        Some(rest) => (true, rest),
+        None => (false, token),
+    };
+    let (int, frac) = match digits.iter().position(|&b| b == b'.') {
+        Some(dot) => (&digits[..dot], &digits[dot + 1..]),
+        None => (digits, &[][..]),
+    };
+    let bad_int = int.is_empty() || (int.len() > 1 && int.starts_with(b"0"));
+    let bad_frac = frac.is_empty() && int.len() != digits.len();
+    if bad_int || bad_frac || int.len() + frac.len() > 15 {
+        return None;
+    }
+    let mut mantissa = 0u64;
+    for &b in int.iter().chain(frac) {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        mantissa = mantissa * 10 + u64::from(b - b'0');
+    }
+    let x = mantissa as f64 / POW10[frac.len()];
+    Some(if negative { -x } else { x })
+}
+
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -143,11 +217,29 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Runs `container` one nesting level down, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -205,8 +297,20 @@ impl Parser<'_> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\`. Both are ASCII, so
+            // the run ends on a char boundary of the `&str` input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            let end = self.pos + run;
+            out.push_str(
+                self.input
+                    .get(self.pos..end)
+                    .ok_or_else(|| format!("string run off a char boundary at byte {end}"))?,
+            );
+            self.pos = end;
             match self.peek() {
-                None => return Err("unterminated string".to_owned()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -249,19 +353,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    match s.chars().next() {
-                        Some(c) => {
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err("unterminated string".to_owned()),
-                    }
-                }
+                _ => return Err("unterminated string".to_owned()),
             }
         }
     }
@@ -289,7 +381,11 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let token = &self.bytes[start..self.pos];
+        if let Some(x) = exact_decimal(token) {
+            return Ok(Value::Num(x));
+        }
+        let s = std::str::from_utf8(token).map_err(|e| e.to_string())?;
         s.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number `{s}` at byte {start}"))
@@ -328,6 +424,162 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "nul", "{\"a\" 1}", "1 2", "{'a':1}"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// splitmix64: `obs` has no dependencies, so the property tests
+    /// carry their own seeded generator.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn digits(&mut self, n: usize) -> String {
+            (0..n)
+                .map(|_| char::from(b'0' + self.below(10) as u8))
+                .collect()
+        }
+    }
+
+    /// One numeric token from the mix the number path must agree on.
+    fn numeric_token(rng: &mut SplitMix) -> String {
+        const FIXED: [&str; 16] = [
+            "-0", "0", "0.0", "-0.0", "1e5", "1E-3", "01", "-.5", "1.", "-", "00", "1.2.3", "1e",
+            "-01.5", "1-2", "2.5e+3",
+        ];
+        let sign = if rng.below(2) == 0 { "" } else { "-" };
+        match rng.below(6) {
+            0 => FIXED[rng.below(FIXED.len() as u64) as usize].to_owned(),
+            // Integers of 1..=20 digits, without a leading zero.
+            1 => {
+                let n = 1 + rng.below(20) as usize;
+                let lead = char::from(b'1' + rng.below(9) as u8);
+                format!("{sign}{lead}{}", rng.digits(n - 1))
+            }
+            // Cents-style decimals, as the benchmark's feature columns.
+            2 => format!("{sign}{}.{}", rng.below(100_000), rng.digits(2)),
+            // 15-, 16- and 17-digit mantissas with the point anywhere.
+            3 => {
+                let n = 15 + rng.below(3) as usize;
+                let m = format!("{}{}", 1 + rng.below(9), rng.digits(n - 1));
+                let dot = 1 + rng.below(n as u64 - 1) as usize;
+                format!("{sign}{}.{}", &m[..dot], &m[dot..])
+            }
+            // Small fractions: leading zeros after the point.
+            4 => format!(
+                "{sign}0.{}{}",
+                "0".repeat(rng.below(8) as usize),
+                rng.digits(6)
+            ),
+            // Anything the number scanner would consume.
+            _ => {
+                const ALPHABET: &[u8] = b"0123456789.eE+-";
+                let n = 1 + rng.below(12) as usize;
+                let mut t = String::from(sign);
+                t.push(char::from(b'0' + rng.below(10) as u8));
+                for _ in 1..n {
+                    t.push(char::from(
+                        ALPHABET[rng.below(ALPHABET.len() as u64) as usize],
+                    ));
+                }
+                t
+            }
+        }
+    }
+
+    #[test]
+    fn numbers_match_str_parse_bit_for_bit() {
+        let mut rng = SplitMix(0x5EED_0013);
+        let mut fast = 0;
+        for _ in 0..100_000 {
+            let token = numeric_token(&mut rng);
+            let ours = parse(&token).map(|v| v.as_f64().map(f64::to_bits));
+            let std = token.parse::<f64>().map(|x| Some(x.to_bits()));
+            assert_eq!(
+                ours.is_ok(),
+                std.is_ok(),
+                "accept/reject differs on {token:?}"
+            );
+            if let (Ok(a), Ok(b)) = (&ours, &std) {
+                assert_eq!(a, b, "bits differ on {token:?}");
+            }
+            fast += usize::from(exact_decimal(token.as_bytes()).is_some());
+        }
+        // The mix exercises both the exact path and the fallback.
+        assert!(fast > 30_000 && fast < 90_000, "exact path took {fast}");
+    }
+
+    #[test]
+    fn exact_path_declines_what_it_cannot_read_exactly() {
+        for token in [
+            "1e5",
+            "1E-3",
+            "01",
+            "-.5",
+            "1.",
+            "-",
+            "1234567890123456",
+            "0.1234567890123456",
+        ] {
+            assert_eq!(exact_decimal(token.as_bytes()), None, "{token}");
+        }
+        assert_eq!(
+            exact_decimal(b"-0").map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(
+            exact_decimal(b"123456789012345"),
+            Some(123_456_789_012_345.0)
+        );
+        assert_eq!(exact_decimal(b"12.34"), Some(12.34));
+    }
+
+    #[test]
+    fn string_runs_split_at_escapes_and_multibyte_chars() {
+        let v = parse(r#""aé\"b""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\u{e9}\"b"));
+        let v = parse(r#""x\ud83d\ude00y""#).unwrap();
+        assert_eq!(v.as_str(), Some("x\u{1F600}y"));
+        let v = parse(r#""日本\n語""#).unwrap();
+        assert_eq!(v.as_str(), Some("日本\n語"));
+        assert_eq!(parse(r#""""#).unwrap().as_str(), Some(""));
+        for bad in ["\"abc", "\"a\u{e9}", "\"ab\\\"", "\"ab\\", "\"\\ud83d"] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let deep =
+            |n: usize, open: &str, close: &str| format!("{}{}", open.repeat(n), close.repeat(n));
+        assert!(parse(&deep(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1, "[", "]")).is_err());
+        assert!(parse(&deep(MAX_DEPTH, "{\"a\":", "}").replace(":}", ":1}")).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1, "{\"a\":", "}").replace(":}", ":1}")).is_err());
+        // A nesting bomb is an error, not a stack overflow.
+        let bomb = format!("{{\"dataset\":{}", "[".repeat(1_000_000));
+        let err = parse(&bomb).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn push_str_lit_escapes_quotes_backslashes_and_controls() {
+        let mut out = String::new();
+        push_str_lit(&mut out, "a\"b\\c\nd\re\tf\u{1}g\u{e9}");
+        assert_eq!(out, r#""a\"b\\c\nd\re\tf\u0001gé""#);
+        assert_eq!(
+            parse(&out).unwrap().as_str(),
+            Some("a\"b\\c\nd\re\tf\u{1}g\u{e9}")
+        );
     }
 
     #[test]

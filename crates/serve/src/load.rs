@@ -192,22 +192,28 @@ pub fn request_on(
     tenant: &str,
     body: &[u8],
 ) -> Result<Response, String> {
-    let head = format!(
+    // Head and body go out in one write: split writes let Nagle's
+    // algorithm hold the body until the server's delayed ACK.
+    let mut request = format!(
         "{method} {path} HTTP/1.1\r\nHost: fairbridge\r\nX-FB-Tenant: {tenant}\r\n\
          Content-Length: {}\r\nContent-Type: application/json\r\n\r\n",
         body.len()
-    );
+    )
+    .into_bytes();
+    request.extend_from_slice(body);
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
+        .write_all(&request)
         .map_err(|e| format!("write request: {e}"))?;
     read_response(reader)
 }
 
-/// Opens a connection to `addr` with a generous read timeout, returning
-/// the write half and a buffered read half.
+/// Opens a connection to `addr` with `TCP_NODELAY` and a generous read
+/// timeout, returning the write half and a buffered read half.
 pub fn connect(addr: &str) -> Result<(TcpStream, BufReader<TcpStream>), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set nodelay: {e}"))?;
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .map_err(|e| format!("set timeout: {e}"))?;

@@ -49,6 +49,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::slo::{SloConfig, SloTracker};
 use crate::wire;
 use fairbridge_engine::{Engine, EngineConfig};
+use fairbridge_obs::json::push_str_lit;
 use fairbridge_obs::{FairnessEvent, Telemetry};
 use fairbridge_tabular::par::{spawn_named, WorkerPool};
 use std::collections::BTreeMap;
@@ -655,7 +656,7 @@ fn metrics(shared: &Arc<Shared>) -> Payload {
         if i > 0 {
             s.push(',');
         }
-        wire::push_str_lit(&mut s, tenant);
+        push_str_lit(&mut s, tenant);
         let _ = write!(s, ":{count}");
     }
     s.push('}');
@@ -667,7 +668,7 @@ fn metrics(shared: &Arc<Shared>) -> Payload {
             s.push(',');
         }
         let snap = h.snapshot();
-        wire::push_str_lit(&mut s, name);
+        push_str_lit(&mut s, name);
         let _ = write!(
             s,
             ":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
@@ -688,7 +689,7 @@ fn metrics(shared: &Arc<Shared>) -> Payload {
         if i > 0 {
             s.push(',');
         }
-        wire::push_str_lit(&mut s, &t.tenant);
+        push_str_lit(&mut s, &t.tenant);
         let _ = write!(s, ":{{\"good\":{},\"bad\":{},\"burn_rate\":", t.good, t.bad);
         wire::push_f64(&mut s, t.burn_rate);
         let _ = write!(s, ",\"in_breach\":{}}}", t.in_breach);

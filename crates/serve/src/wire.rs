@@ -29,32 +29,12 @@
 //! ```
 
 use fairbridge_engine::{AuditSpec, Engine};
-use fairbridge_obs::json::{parse, Value};
+use fairbridge_obs::json::{parse, push_str_lit, Value};
 use fairbridge_obs::Telemetry;
 use fairbridge_tabular::{Dataset, Role};
 use std::fmt::Write as _;
 
 use crate::http::Payload;
-
-/// Appends `s` as a JSON string literal (quoted, escaped) — the same
-/// escaping policy as the telemetry event renderer.
-pub fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Appends an `f64` as a JSON number, or `null` when not finite.
 pub fn push_f64(out: &mut String, x: f64) {

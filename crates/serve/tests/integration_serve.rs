@@ -525,6 +525,25 @@ fn connections_beyond_the_cap_are_refused_with_503() {
 }
 
 #[test]
+fn nesting_bomb_is_a_400_and_the_daemon_stays_up() {
+    let (handle, _telemetry) = start_server(1, 4);
+    let addr = handle.addr().to_string();
+
+    let bomb = format!("{{\"dataset\":{}", "[".repeat(1_000_000));
+    let resp = post_audit(&addr, "bomber", &bomb);
+    assert_eq!(resp.status, 400);
+    let body = String::from_utf8_lossy(&resp.body);
+    assert!(body.contains("nesting deeper than"), "{body}");
+
+    let (mut stream, mut reader) = load::connect(&addr).expect("connect");
+    let health =
+        load::request_on(&mut stream, &mut reader, "GET", "/healthz", "ops", b"").expect("healthz");
+    assert_eq!(health.status, 200);
+
+    handle.drain();
+}
+
+#[test]
 fn healthz_and_unknown_routes() {
     let (handle, _telemetry) = start_server(1, 4);
     let addr = handle.addr().to_string();
