@@ -43,17 +43,14 @@ use fairbridge_learn::{EncoderConfig, FeatureEncoder};
 use fairbridge_obs::{FairnessEvent, Telemetry};
 use fairbridge_stats::hypothesis::two_proportion_z;
 use fairbridge_tabular::par::{ordered_parallel_map, size_aware_workers};
-use fairbridge_tabular::tune::tuned_min_units;
 use fairbridge_tabular::{Column, Dataset, RowMask};
 
-/// Fallback work-unit floor per lattice worker, where one unit is one
-/// row touched by one seed subtree (`rows × seeds` total). The
-/// conservative default when no `tune_profile.json` is present (key
-/// `subgroup.min_units_per_worker`), sized from `BENCH_subgroup.json`,
-/// where `bitset_parallel` at depths 2–3 lost to the serial bitset scan
-/// at benchmark size: the per-node AND+popcount is so cheap
-/// (word-parallel over `rows / 64` words) that fan-out only pays once
-/// the mask passes themselves are long.
+/// Work-unit floor per lattice worker, where one unit is one row
+/// touched by one seed subtree (`rows × seeds` total), sized from
+/// `BENCH_subgroup.json`, where `bitset_parallel` at depths 2–3 lost to
+/// the serial bitset scan at benchmark size: the per-node AND+popcount
+/// is so cheap (word-parallel over `rows / 64` words) that fan-out only
+/// pays once the mask passes themselves are long.
 pub const SEED_MIN_UNITS_PER_WORKER: usize = 1 << 18;
 
 /// One audited subgroup.
@@ -346,7 +343,7 @@ impl SubgroupAuditor {
             requested,
             seeds.len(),
             n.saturating_mul(seeds.len()),
-            tuned_min_units("subgroup.min_units_per_worker", SEED_MIN_UNITS_PER_WORKER),
+            SEED_MIN_UNITS_PER_WORKER,
         );
 
         // Deterministic fan-out: workers pull seed indices from a shared

@@ -39,7 +39,6 @@ fn bench_engine(c: &mut Criterion) {
             let engine = Engine::new(EngineConfig {
                 num_threads: threads,
                 shard_size: 16_384,
-                ..EngineConfig::default()
             });
             let partition = engine.partition(&ds, &["sex"]).unwrap();
             let decisions = ds.predictions().unwrap().to_vec();

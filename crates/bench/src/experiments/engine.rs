@@ -83,7 +83,6 @@ pub(crate) fn e19_execution_engine(seed: u64, telemetry: &Telemetry) -> Experime
         let engine = Engine::new(EngineConfig {
             num_threads: threads,
             shard_size: 16_384,
-            ..EngineConfig::default()
         });
         let partition = engine.partition(&ds, &["sex"]).expect("partition");
         let report = {

@@ -159,9 +159,8 @@ fn thread_count() -> usize {
 
 /// A short CPU model description (`/proc/cpuinfo` on Linux, the target
 /// arch elsewhere), recorded in each JSON record so baselines carry the
-/// machine they were measured on. Public because `fb-tune` stamps the
-/// same metadata into `tune_profile.json`.
-pub fn cpu_model() -> &'static str {
+/// machine they were measured on.
+fn cpu_model() -> &'static str {
     static CPU: OnceLock<String> = OnceLock::new();
     CPU.get_or_init(|| {
         if let Ok(text) = std::fs::read_to_string("/proc/cpuinfo") {

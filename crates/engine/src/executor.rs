@@ -40,8 +40,6 @@ pub struct EngineConfig {
     /// Rows per shard. Boundaries depend only on this and the row count,
     /// so results are identical across thread counts.
     pub shard_size: usize,
-    /// Partitions the [`PartitionCache`] retains before LRU eviction.
-    pub cache_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -49,7 +47,6 @@ impl Default for EngineConfig {
         EngineConfig {
             num_threads: 0,
             shard_size: 8192,
-            cache_capacity: crate::partition::DEFAULT_CACHE_CAPACITY,
         }
     }
 }
@@ -104,10 +101,9 @@ impl Engine {
     /// Creates an engine whose audits record spans, counters and
     /// fairness events through `telemetry`.
     pub fn with_telemetry(config: EngineConfig, telemetry: Telemetry) -> Engine {
-        let cache = PartitionCache::with_capacity(config.cache_capacity);
         Engine {
             config,
-            cache,
+            cache: PartitionCache::new(),
             telemetry,
         }
     }
@@ -268,10 +264,7 @@ impl Engine {
             self.threads(),
             n_shards,
             n,
-            fairbridge_tabular::tune::tuned_min_units(
-                "par.min_units_per_worker",
-                fairbridge_tabular::par::MIN_UNITS_PER_WORKER,
-            ),
+            fairbridge_tabular::par::MIN_UNITS_PER_WORKER,
         );
         let recording = self.telemetry.is_enabled();
 
@@ -377,7 +370,6 @@ mod tests {
             let engine = Engine::new(EngineConfig {
                 num_threads: threads,
                 shard_size: 64,
-                ..EngineConfig::default()
             });
             let partition = engine.cache.get_or_build(&ds, &["g"]).unwrap();
             let labels = ds.labels().unwrap().to_vec();
@@ -435,7 +427,6 @@ mod tests {
         let untraced = Engine::new(EngineConfig {
             num_threads: 2,
             shard_size: 128,
-            ..EngineConfig::default()
         })
         .audit(&ds, &spec)
         .unwrap();
@@ -446,7 +437,6 @@ mod tests {
             EngineConfig {
                 num_threads: 2,
                 shard_size: 128,
-                ..EngineConfig::default()
             },
             telemetry,
         );

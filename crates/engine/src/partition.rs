@@ -6,12 +6,16 @@
 //! [`Partition`] inverts the index once (preserving the sorted key order
 //! every metric iterates in), and [`PartitionCache`] memoizes partitions
 //! keyed by a dataset fingerprint plus the protected-attribute set, so
-//! repeated audits of the same dataset skip the `GroupIndex` build.
+//! repeated audits of the same dataset skip the `GroupIndex` build. The
+//! fingerprint only finds the candidate entry: a hit is served after the
+//! protected columns compare equal to the ones the partition was built
+//! from, so a colliding dataset can never receive another dataset's
+//! partition (or, in the daemon, another tenant's level names).
 //!
 //! The cache is **bounded**: at most `capacity` partitions are retained,
 //! with least-recently-used eviction, and every hit/miss/insert/eviction
 //! is counted — [`PartitionCache::stats`] exposes the [`CacheStats`]
-//! snapshot the telemetry layer and capacity tuning rely on.
+//! snapshot the telemetry layer relies on.
 
 use crate::error::EngineError;
 use fairbridge_metrics::GroupAccumulator;
@@ -162,7 +166,19 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 
 struct CacheEntry {
     partition: Arc<Partition>,
+    /// The protected columns the partition was built from, in
+    /// `protected` order.
+    columns: Vec<Column>,
     last_used: u64,
+}
+
+impl CacheEntry {
+    /// Whether this entry was built from exactly `columns`. Only
+    /// categorical and boolean columns reach the cache (`Partition::build`
+    /// rejects numeric ones), so derived equality is exact.
+    fn built_from(&self, columns: &[&Column]) -> bool {
+        self.columns.iter().eq(columns.iter().copied())
+    }
 }
 
 /// A thread-safe, bounded, LRU-evicting memo of [`Partition`]s keyed by
@@ -206,8 +222,9 @@ impl PartitionCache {
     }
 
     /// Creates an empty cache retaining at most `capacity` partitions
-    /// (minimum 1).
-    pub fn with_capacity(capacity: usize) -> PartitionCache {
+    /// (minimum 1). The eviction tests' seam; every engine uses
+    /// [`DEFAULT_CACHE_CAPACITY`].
+    fn with_capacity(capacity: usize) -> PartitionCache {
         PartitionCache {
             capacity: capacity.max(1),
             tick: AtomicU64::new(0),
@@ -229,7 +246,21 @@ impl PartitionCache {
     /// Looks up (building on miss) the partition for `(ds, protected)`
     /// and reports whether it was a hit — the traced entry point.
     pub fn fetch(&self, ds: &Dataset, protected: &[&str]) -> Result<CacheLookup, EngineError> {
-        let fingerprint = dataset_fingerprint(ds, protected)?;
+        self.fetch_keyed(dataset_fingerprint(ds, protected)?, ds, protected)
+    }
+
+    /// [`PartitionCache::fetch`] under a given fingerprint — the seam
+    /// that lets tests force two datasets onto one fingerprint.
+    fn fetch_keyed(
+        &self,
+        fingerprint: u64,
+        ds: &Dataset,
+        protected: &[&str],
+    ) -> Result<CacheLookup, EngineError> {
+        let columns = protected
+            .iter()
+            .map(|name| ds.column(name))
+            .collect::<Result<Vec<_>, _>>()?;
         let key = (
             fingerprint,
             protected
@@ -242,7 +273,11 @@ impl PartitionCache {
         // never by the atomic itself.
         // ORDER: Relaxed — uniqueness only, no memory is published.
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(entry) = self.entries().get_mut(&key) {
+        if let Some(entry) = self
+            .entries()
+            .get_mut(&key)
+            .filter(|e| e.built_from(&columns))
+        {
             entry.last_used = stamp;
             // Readers only ever see this via a point-in-time snapshot.
             // ORDER: Relaxed — monotonic stat counter.
@@ -260,7 +295,7 @@ impl PartitionCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.entries();
         // A racing builder may have inserted meanwhile; keep the first.
-        if let Some(entry) = entries.get_mut(&key) {
+        if let Some(entry) = entries.get_mut(&key).filter(|e| e.built_from(&columns)) {
             entry.last_used = stamp;
             return Ok(CacheLookup {
                 partition: Arc::clone(&entry.partition),
@@ -268,6 +303,9 @@ impl PartitionCache {
                 fingerprint,
             });
         }
+        // An entry under this key built from other columns is a
+        // fingerprint collision: the new partition replaces it.
+        entries.remove(&key);
         while entries.len() >= self.capacity {
             // Stamps are unique (fetch_add), so the LRU minimum is unique
             // too; iterating the BTreeMap visits keys in sorted order, so
@@ -290,6 +328,7 @@ impl PartitionCache {
             key,
             CacheEntry {
                 partition: Arc::clone(&built),
+                columns: columns.into_iter().cloned().collect(),
                 last_used: stamp,
             },
         );
@@ -440,6 +479,35 @@ mod tests {
         assert_eq!(stats.evictions, 0);
         assert_eq!(stats.capacity, DEFAULT_CACHE_CAPACITY);
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn colliding_fingerprint_builds_its_own_partition() {
+        let cache = PartitionCache::new();
+        let first = sample();
+        let second = Dataset::builder()
+            .categorical_with_role(
+                "sex",
+                vec!["tenant-b-x", "tenant-b-y"],
+                vec![1, 1, 0, 1, 0, 0],
+                Role::Protected,
+            )
+            .build()
+            .unwrap();
+        let own = |ds: &Dataset| Partition::build(ds, &["sex"]).unwrap();
+        // Both datasets forced onto one fingerprint.
+        let a = cache.fetch_keyed(7, &first, &["sex"]).unwrap();
+        let b = cache.fetch_keyed(7, &second, &["sex"]).unwrap();
+        assert!(!b.hit, "a colliding dataset is a miss");
+        assert_eq!(*b.partition, own(&second));
+        assert_ne!(b.partition.keys(), a.partition.keys());
+        // The displaced dataset rebuilds its own; a true repeat hits.
+        let again = cache.fetch_keyed(7, &first, &["sex"]).unwrap();
+        assert!(!again.hit);
+        assert_eq!(*again.partition, own(&first));
+        assert!(cache.fetch_keyed(7, &first, &["sex"]).unwrap().hit);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (1, 3, 1));
     }
 
     #[test]

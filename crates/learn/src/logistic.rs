@@ -19,28 +19,23 @@
 //! fit with `workers: 8` is bitwise-identical to a serial fit, and a
 //! dispatched (SIMD) fit is bitwise-identical to
 //! [`LogisticTrainer::fit_weighted_pinned_fused`]. The serial/parallel
-//! decision runs on the calibrated threshold table (key
-//! `logistic.grad.min_units_per_worker`, falling back to
-//! [`GRAD_MIN_UNITS_PER_WORKER`]).
+//! decision uses [`GRAD_MIN_UNITS_PER_WORKER`].
 
 use crate::matrix::{dot, sum, KernelSet, Matrix, DISPATCH_KERNELS, FUSED_KERNELS};
 use crate::model::Scorer;
 use fairbridge_obs::Telemetry;
 use fairbridge_tabular::par::{ordered_parallel_map, size_aware_workers};
-use fairbridge_tabular::tune::tuned_min_units;
 
 /// Rows per gradient chunk. Fixed (never derived from the worker count)
 /// so the chunk reduction — and therefore the fitted model — is
 /// identical for any parallelism degree.
 pub const GRAD_CHUNK: usize = 1024;
 
-/// Fallback work-unit floor per gradient worker, where one unit is one
-/// multiply-add in the chunked gradient (`n × (d + 1)` per epoch). The
-/// conservative default when no `tune_profile.json` is present (key
-/// `logistic.grad.min_units_per_worker`): the fan-out re-spawns every
-/// epoch, so a spawn must be amortized per iteration; below the floor
-/// the epoch runs on the recycled serial partial buffer.
-/// Bitwise-identical either way.
+/// Work-unit floor per gradient worker, where one unit is one
+/// multiply-add in the chunked gradient (`n × (d + 1)` per epoch): the
+/// fan-out re-spawns every epoch, so a spawn must be amortized per
+/// iteration; below the floor the epoch runs on the recycled serial
+/// partial buffer. Bitwise-identical either way.
 pub const GRAD_MIN_UNITS_PER_WORKER: usize = 1 << 21;
 
 /// Numerically stable logistic sigmoid.
@@ -153,10 +148,7 @@ impl LogisticTrainer {
             sample_weights,
             telemetry,
             DISPATCH_KERNELS,
-            tuned_min_units(
-                "logistic.grad.min_units_per_worker",
-                GRAD_MIN_UNITS_PER_WORKER,
-            ),
+            GRAD_MIN_UNITS_PER_WORKER,
         )
     }
 
@@ -177,16 +169,13 @@ impl LogisticTrainer {
             sample_weights,
             &Telemetry::off(),
             FUSED_KERNELS,
-            tuned_min_units(
-                "logistic.grad.min_units_per_worker",
-                GRAD_MIN_UNITS_PER_WORKER,
-            ),
+            GRAD_MIN_UNITS_PER_WORKER,
         )
     }
 
     /// The one fit loop, parameterized over the kernel table and the
-    /// calibrated dispatch floor (threaded explicitly so tests can
-    /// force the fan-out path).
+    /// dispatch floor (threaded explicitly so tests can force the fan-out
+    /// path).
     fn fit_core(
         &self,
         x: &Matrix,

@@ -8,11 +8,13 @@
 //! so a dataset can be scanned in independent shards (or consumed as a
 //! stream) and finalized once.
 //!
-//! Finalization via [`from_accumulator`] reproduces
-//! [`FairnessReport::evaluate`] **bitwise-identically**: the counts are
-//! integers (addition order cannot change them), the per-group rate is
-//! the same single `positives / n` division, and groups are visited in
-//! the same sorted-key order the sequential path uses.
+//! Finalization via [`from_accumulator`] is the one Section III report
+//! finalizer ([`FairnessReport::evaluate`] is a single accumulation pass
+//! plus this call), and it agrees **bitwise** with the per-definition
+//! functions (`demographic_parity`, `equal_opportunity`, …): the counts
+//! are integers (addition order cannot change them), the per-group rate
+//! is the same single `positives / n` division, and groups are visited
+//! in the same sorted-key order those functions use.
 
 use crate::definition::Definition;
 use crate::outcome::{GapSummary, Outcomes, RateStat};
@@ -272,9 +274,9 @@ impl GroupAccumulator {
     }
 }
 
-/// Finalizes an accumulator into the same [`FairnessReport`] that
-/// [`FairnessReport::evaluate`] produces over the equivalent
-/// [`Outcomes`] view — bitwise-identical, line for line.
+/// Finalizes an accumulator into a [`FairnessReport`]: every line's gap
+/// is bitwise the one the matching per-definition function computes over
+/// the equivalent [`Outcomes`] view.
 pub fn from_accumulator(
     acc: &GroupAccumulator,
     tolerance: f64,
@@ -425,22 +427,83 @@ mod tests {
         assert_eq!((b.n, b.pred_pos, b.tp, b.fp), (10, 2, 2, 0));
     }
 
+    /// The per-definition functions scan group row lists on their own,
+    /// so they are an oracle independent of the accumulator.
     #[test]
     fn report_is_bitwise_identical_to_direct_evaluation() {
-        for with_labels in [false, true] {
-            let o = sample_outcomes(with_labels);
-            let direct = FairnessReport::evaluate(&o, 0.05, 0);
-            let acc = GroupAccumulator::from_outcomes(&o);
-            let via_acc = from_accumulator(&acc, 0.05, 0);
-            assert_eq!(direct, via_acc);
-            // bit-level equality of every gap, not just PartialEq
-            for (d, a) in direct.lines.iter().zip(&via_acc.lines) {
-                assert_eq!(d.gap.to_bits(), a.gap.to_bits());
+        use crate::disparity::demographic_disparity;
+        use crate::extended::{accuracy_equality, predictive_parity};
+        use crate::odds::equalized_odds;
+        use crate::opportunity::equal_opportunity;
+        use crate::parity::{demographic_parity, four_fifths};
+
+        let tol = 0.05;
+        // min_group_size 11 excludes both 10-row groups: NaN gaps.
+        for min in [0, 11] {
+            for with_labels in [false, true] {
+                let o = sample_outcomes(with_labels);
+                let report = from_accumulator(&GroupAccumulator::from_outcomes(&o), tol, min);
+                let dp = demographic_parity(&o, min);
+                let dd = demographic_disparity(&o);
+                let mut expected = vec![
+                    (
+                        Definition::DemographicParity,
+                        dp.summary.gap,
+                        dp.is_fair(tol),
+                    ),
+                    (
+                        Definition::DemographicDisparity,
+                        dd.unfair_groups().len() as f64,
+                        dd.is_fair(),
+                    ),
+                ];
+                if with_labels {
+                    let eo = equal_opportunity(&o, min).unwrap();
+                    let odds = equalized_odds(&o, min).unwrap();
+                    let pp = predictive_parity(&o, min).unwrap();
+                    let ae = accuracy_equality(&o, min).unwrap();
+                    expected.extend([
+                        (
+                            Definition::EqualOpportunity,
+                            eo.summary.gap,
+                            eo.is_fair(tol),
+                        ),
+                        (
+                            Definition::EqualizedOdds,
+                            odds.worst_gap(),
+                            odds.is_fair(tol),
+                        ),
+                        (
+                            Definition::PredictiveParity,
+                            pp.summary.gap,
+                            pp.is_fair(tol),
+                        ),
+                        (
+                            Definition::AccuracyEquality,
+                            ae.summary.gap,
+                            ae.is_fair(tol),
+                        ),
+                    ]);
+                }
+                let got: Vec<_> = report
+                    .lines
+                    .iter()
+                    .map(|l| (l.definition, l.gap.to_bits(), l.fair))
+                    .collect();
+                let want: Vec<_> = expected
+                    .into_iter()
+                    .map(|(d, gap, fair)| (d, gap.to_bits(), Some(fair)))
+                    .collect();
+                assert_eq!(got, want, "labels {with_labels}, min {min}");
+                let ff = four_fifths(&o, min);
+                assert_eq!(report.impact_ratio.to_bits(), ff.impact_ratio.to_bits());
+                assert_eq!(report.four_fifths_passes, ff.passes);
+                // Debug, not PartialEq: NaN gaps are unequal to themselves.
+                assert_eq!(
+                    format!("{:?}", FairnessReport::evaluate(&o, tol, min)),
+                    format!("{report:?}")
+                );
             }
-            assert_eq!(
-                direct.impact_ratio.to_bits(),
-                via_acc.impact_ratio.to_bits()
-            );
         }
     }
 

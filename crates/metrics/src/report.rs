@@ -1,13 +1,9 @@
 //! The aggregate [`FairnessReport`]: every applicable definition evaluated
 //! at once, rendered as a text table for auditors.
 
+use crate::accumulator::{from_accumulator, GroupAccumulator};
 use crate::definition::Definition;
-use crate::disparity::demographic_disparity;
-use crate::extended::{accuracy_equality, fpr_balance, predictive_parity};
-use crate::odds::equalized_odds;
-use crate::opportunity::equal_opportunity;
 use crate::outcome::Outcomes;
-use crate::parity::{demographic_parity, four_fifths};
 use std::fmt;
 
 /// One evaluated definition inside a [`FairnessReport`].
@@ -40,87 +36,14 @@ pub struct FairnessReport {
 
 impl FairnessReport {
     /// Evaluates every supported definition at `tolerance` (gap units) and
-    /// `min_group_size`.
+    /// `min_group_size`: one counting pass over `outcomes`, finalized by
+    /// [`from_accumulator`] — the same finalizer the sharded engine uses.
     pub fn evaluate(outcomes: &Outcomes, tolerance: f64, min_group_size: usize) -> FairnessReport {
-        let mut lines = Vec::new();
-
-        let dp = demographic_parity(outcomes, min_group_size);
-        lines.push(MetricLine {
-            definition: Definition::DemographicParity,
-            gap: dp.summary.gap,
-            fair: Some(dp.is_fair(tolerance)),
-            detail: dp
-                .summary
-                .min_group
-                .as_ref()
-                .map(|g| format!("least favored: {g}"))
-                .unwrap_or_default(),
-        });
-
-        let dd = demographic_disparity(outcomes);
-        let n_unfair = dd.unfair_groups().len();
-        lines.push(MetricLine {
-            definition: Definition::DemographicDisparity,
-            gap: n_unfair as f64,
-            fair: Some(dd.is_fair()),
-            detail: if n_unfair > 0 {
-                format!("{n_unfair} group(s) receive more rejections than acceptances")
-            } else {
-                String::new()
-            },
-        });
-
-        if outcomes.labels.is_some() {
-            if let Ok(eo) = equal_opportunity(outcomes, min_group_size) {
-                lines.push(MetricLine {
-                    definition: Definition::EqualOpportunity,
-                    gap: eo.summary.gap,
-                    fair: Some(eo.is_fair(tolerance)),
-                    detail: eo
-                        .summary
-                        .min_group
-                        .as_ref()
-                        .map(|g| format!("lowest TPR: {g}"))
-                        .unwrap_or_default(),
-                });
-            }
-            if let Ok(odds) = equalized_odds(outcomes, min_group_size) {
-                lines.push(MetricLine {
-                    definition: Definition::EqualizedOdds,
-                    gap: odds.worst_gap(),
-                    fair: Some(odds.is_fair(tolerance)),
-                    detail: format!(
-                        "TPR gap {:.3}, FPR gap {:.3}",
-                        odds.tpr_summary.gap, odds.fpr_summary.gap
-                    ),
-                });
-            }
-            if let Ok(pp) = predictive_parity(outcomes, min_group_size) {
-                lines.push(MetricLine {
-                    definition: Definition::PredictiveParity,
-                    gap: pp.summary.gap,
-                    fair: Some(pp.is_fair(tolerance)),
-                    detail: String::new(),
-                });
-            }
-            if let Ok(ae) = accuracy_equality(outcomes, min_group_size) {
-                lines.push(MetricLine {
-                    definition: Definition::AccuracyEquality,
-                    gap: ae.summary.gap,
-                    fair: Some(ae.is_fair(tolerance)),
-                    detail: String::new(),
-                });
-            }
-            let _ = fpr_balance(outcomes, min_group_size); // exercised via equalized odds detail
-        }
-
-        let ff = four_fifths(outcomes, min_group_size);
-        FairnessReport {
-            lines,
+        from_accumulator(
+            &GroupAccumulator::from_outcomes(outcomes),
             tolerance,
-            impact_ratio: ff.impact_ratio,
-            four_fifths_passes: ff.passes,
-        }
+            min_group_size,
+        )
     }
 
     /// Definitions violated at the report's tolerance.

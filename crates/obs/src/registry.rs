@@ -16,9 +16,7 @@
 //! the relative error of [`Histogram::quantile`] by one sub-bucket
 //! (≤ 1/16; ≤ 1/32 for the midpoint representative actually returned),
 //! where the earlier log₂-only layout could only bracket a p99 within
-//! 2×. Values below 16 get exact unit-width buckets. The legacy log₂
-//! view ([`Histogram::buckets`]) is derived from the same cells, so
-//! pre-existing consumers see identical numbers.
+//! 2×. Values below 16 get exact unit-width buckets.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,34 +221,6 @@ impl Histogram {
         }
     }
 
-    /// The legacy log₂ bucket counts: entry `i` counts values with bit
-    /// length `i` (entry 0 counts zeros). Empty for a disabled handle.
-    /// Derived exactly from the log-linear cells, so consumers of the
-    /// pre-log-linear API see unchanged numbers.
-    pub fn buckets(&self) -> Vec<u64> {
-        let Some(cell) = self.cell.as_ref() else {
-            return Vec::new();
-        };
-        let raw: Vec<u64> = cell
-            .buckets
-            .iter()
-            // ORDER: Relaxed — advisory read of independent tallies.
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let mut log2 = vec![0u64; 65];
-        for (index, count) in raw.iter().enumerate() {
-            if *count == 0 {
-                continue;
-            }
-            let (lo, _) = bucket_bounds(index);
-            let bit_len = (64 - lo.leading_zeros()) as usize;
-            if let Some(slot) = log2.get_mut(bit_len) {
-                *slot += count;
-            }
-        }
-        log2
-    }
-
     /// The non-empty log-linear buckets, in ascending value order.
     pub fn nonzero_buckets(&self) -> Vec<BucketCount> {
         let Some(cell) = self.cell.as_ref() else {
@@ -398,7 +368,6 @@ mod tests {
         let h = Histogram::disabled();
         h.record(10);
         assert_eq!(h.snapshot().count, 0);
-        assert!(h.buckets().is_empty());
         assert!(h.nonzero_buckets().is_empty());
         assert_eq!(h.quantile(0.5), 0);
     }
@@ -416,11 +385,16 @@ mod tests {
         assert_eq!(snap.min, 0);
         assert_eq!(snap.max, 900);
         assert!((snap.mean() - 181.2).abs() < 1e-9);
-        let buckets = h.buckets();
-        assert_eq!(buckets[0], 1); // the zero
-        assert_eq!(buckets[1], 1); // 1
-        assert_eq!(buckets[2], 2); // 2, 3
-        assert_eq!(buckets[10], 1); // 900 ∈ [512, 1024)
+        let buckets: Vec<(u64, u64, u64)> = h
+            .nonzero_buckets()
+            .iter()
+            .map(|b| (b.lo, b.hi, b.count))
+            .collect();
+        // Unit-width cells below 16; 900 lands in the 32-wide [896, 928).
+        assert_eq!(
+            buckets,
+            [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (896, 928, 1)]
+        );
     }
 
     #[test]

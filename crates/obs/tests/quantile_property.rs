@@ -3,8 +3,7 @@
 //! The claim DESIGN §13 makes — `Histogram::quantile(q)` is within one
 //! sub-bucket (relative error ≤ 1/16) of the exact sample quantile — is
 //! checked here against seeded pseudo-random data drawn from several
-//! shapes (uniform, heavy-tailed, bimodal), plus a regression test that
-//! the legacy log₂ bucket view survives the log-linear rewrite.
+//! shapes (uniform, heavy-tailed, bimodal).
 
 use fairbridge_obs::{NoopSink, Telemetry, SUBBUCKETS};
 use std::sync::Arc;
@@ -103,25 +102,4 @@ fn small_exact_values_are_reported_exactly() {
     assert_eq!(h.quantile(0.0), 0);
     assert_eq!(h.quantile(0.5), 8);
     assert_eq!(h.quantile(1.0), 15);
-}
-
-#[test]
-fn legacy_log2_buckets_remain_available() {
-    // Regression: the pre-log-linear API surface — 65 log₂ buckets where
-    // entry i counts values of bit length i — must survive the rewrite
-    // with identical semantics.
-    let telemetry = Telemetry::new(Arc::new(NoopSink));
-    let h = telemetry.histogram("legacy");
-    for v in [0u64, 1, 2, 3, 900, 1023, 1024, u64::MAX] {
-        h.record(v);
-    }
-    let buckets = h.buckets();
-    assert_eq!(buckets.len(), 65);
-    assert_eq!(buckets[0], 1, "zeros");
-    assert_eq!(buckets[1], 1, "bit length 1: {{1}}");
-    assert_eq!(buckets[2], 2, "bit length 2: {{2, 3}}");
-    assert_eq!(buckets[10], 2, "bit length 10: [512, 1024) holds 900, 1023");
-    assert_eq!(buckets[11], 1, "bit length 11: [1024, 2048)");
-    assert_eq!(buckets[64], 1, "bit length 64 holds u64::MAX");
-    assert_eq!(buckets.iter().sum::<u64>(), 8, "every sample is bucketed");
 }

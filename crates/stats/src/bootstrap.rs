@@ -20,20 +20,18 @@
 use crate::rng::{Rng, SplitMix64, StdRng};
 use fairbridge_obs::Telemetry;
 use fairbridge_tabular::par::{ordered_parallel_map, size_aware_workers};
-use fairbridge_tabular::tune::tuned_min_units;
 
 /// Replicates per parallel bootstrap chunk. Fixed — never derived from
 /// the worker count — so the replicate stream (and the resulting CI) is
 /// a function of the seed alone.
 pub const RESAMPLE_CHUNK: usize = 64;
 
-/// Fallback work-unit floor per bootstrap worker, where one unit is one
-/// resampled element (`n_resamples × sample_len` total). The
-/// conservative default when no `tune_profile.json` is present (key
-/// `bootstrap.min_units_per_worker`): `bootstrap_par8` (400 × 1500 =
-/// 600k units) lost to the fused serial path — resampling is RNG/memory
-/// bound, so a unit is cheaper to compute inline than to ship to
-/// another core until well past the benchmark size. Since
+/// Work-unit floor per bootstrap worker, where one unit is one
+/// resampled element (`n_resamples × sample_len` total):
+/// `bootstrap_par8` (400 × 1500 = 600k units) lost to the fused serial
+/// path — resampling is RNG/memory bound, so a unit is cheaper to
+/// compute inline than to ship to another core until well past the
+/// benchmark size. Since
 /// [`ordered_parallel_map`] is bitwise-identical for any worker count,
 /// the clamp is scheduling only.
 pub const BOOTSTRAP_MIN_UNITS_PER_WORKER: usize = 1 << 19;
@@ -230,10 +228,7 @@ where
         workers,
         n_chunks,
         n_resamples.saturating_mul(data.len()),
-        tuned_min_units(
-            "bootstrap.min_units_per_worker",
-            BOOTSTRAP_MIN_UNITS_PER_WORKER,
-        ),
+        BOOTSTRAP_MIN_UNITS_PER_WORKER,
     );
     let chunks = ordered_parallel_map(n_chunks, workers, |c| {
         let mut rng = StdRng::seed_from_u64(seeds[c]);
@@ -312,10 +307,7 @@ where
         workers,
         n_chunks,
         n_resamples.saturating_mul(a.len() + b.len()),
-        tuned_min_units(
-            "bootstrap.min_units_per_worker",
-            BOOTSTRAP_MIN_UNITS_PER_WORKER,
-        ),
+        BOOTSTRAP_MIN_UNITS_PER_WORKER,
     );
     let chunks = ordered_parallel_map(n_chunks, workers, |c| {
         let mut rng = StdRng::seed_from_u64(seeds[c]);

@@ -30,7 +30,6 @@ use crate::distribution::Discrete;
 use crate::kernel::{KernelSet, DISPATCH_KERNELS, FUSED_KERNELS};
 use fairbridge_obs::Telemetry;
 use fairbridge_tabular::par::{ordered_parallel_map, size_aware_workers};
-use fairbridge_tabular::tune::tuned_min_units;
 
 /// Convergence tolerance on the scaling-vector max-delta: once an
 /// iteration moves no coordinate of `u` or `v` by more than this, the
@@ -52,15 +51,13 @@ pub const KV_EPSILON_FLOOR: f64 = 1e-300;
 /// only balances fan-out overhead, never results.
 const ROW_CHUNK: usize = 64;
 
-/// Fallback work-unit floor per half-pass worker, where one unit is one
-/// kernel cell (`n × row_len` fused-dot elements per half-pass). The
-/// conservative default when no `tune_profile.json` is present (key
-/// `sinkhorn.halfpass.min_units_per_worker`): `sinkhorn_par8`
-/// (1024 × 1024 ≈ 1M units per half-pass) lost ~8% to the fused serial
-/// solve because each half-pass re-spawns the pool, so the fan-out must
-/// amortize a spawn per iteration, not per solve. 2M units/worker keeps
-/// the benchmark size inline while a 4096-point support (16M units)
-/// still fans out.
+/// Work-unit floor per half-pass worker, where one unit is one kernel
+/// cell (`n × row_len` fused-dot elements per half-pass):
+/// `sinkhorn_par8` (1024 × 1024 ≈ 1M units per half-pass) lost ~8% to
+/// the fused serial solve because each half-pass re-spawns the pool, so
+/// the fan-out must amortize a spawn per iteration, not per solve. 2M
+/// units/worker keeps the benchmark size inline while a 4096-point
+/// support (16M units) still fans out.
 pub const HALF_PASS_MIN_UNITS_PER_WORKER: usize = 1 << 21;
 
 /// The result of a Sinkhorn solve.
@@ -178,12 +175,6 @@ fn solve(
         return Err("max_iters must be positive".to_owned());
     }
     let _span = telemetry.span("sinkhorn.solve");
-    // Calibrated dispatch floor, resolved once per solve (not per
-    // half-pass): profile lookup off the iteration path.
-    let min_units = tuned_min_units(
-        "sinkhorn.halfpass.min_units_per_worker",
-        HALF_PASS_MIN_UNITS_PER_WORKER,
-    );
 
     // Gibbs kernel K = exp(-C/eps) — the one transcendental, kept
     // scalar on every path — plus its packed transpose so the `Kᵀu`
@@ -226,7 +217,7 @@ fn solve(
             &mut mass,
             &mut quot,
             workers,
-            min_units,
+            HALF_PASS_MIN_UNITS_PER_WORKER,
             ops,
         );
         // v = q ./ (Kᵀ u)
@@ -239,7 +230,7 @@ fn solve(
             &mut mass,
             &mut quot,
             workers,
-            min_units,
+            HALF_PASS_MIN_UNITS_PER_WORKER,
             ops,
         );
         if du.max(dv) < CONVERGENCE_TOL {

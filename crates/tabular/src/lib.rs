@@ -50,7 +50,6 @@ pub mod io;
 pub mod par;
 pub mod profile;
 pub mod schema;
-pub mod tune;
 pub mod value;
 
 pub use bitset::RowMask;

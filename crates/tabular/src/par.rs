@@ -12,12 +12,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::JoinHandle;
 
-/// Fallback work-unit threshold for [`size_aware_workers`]: one extra
-/// worker must bring at least this many *units* (≈ one cheap arithmetic
-/// pass over one row/element each) before fan-out beats running inline.
-/// The conservative default the engine scan uses when no
-/// `tune_profile.json` is present (key `par.min_units_per_worker`; see
-/// [`crate::tune`]).
+/// Work-unit threshold for [`size_aware_workers`] at the engine scan:
+/// one extra worker must bring at least this many *units* (≈ one cheap
+/// arithmetic pass over one row/element each) before fan-out beats
+/// running inline.
 ///
 /// Sized against `BENCH_kernels.json` / `BENCH_subgroup.json`: the
 /// `bootstrap_par8` and `bitset_parallel` rows showed 8-worker fan-out

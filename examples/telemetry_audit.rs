@@ -42,7 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         EngineConfig {
             num_threads: 4,
             shard_size: 4096,
-            ..EngineConfig::default()
         },
         telemetry.clone(),
     );

@@ -71,7 +71,6 @@ fn parallel_audit_matches_sequential_on_hiring() {
         let engine = Engine::new(EngineConfig {
             num_threads: threads,
             shard_size: 512, // forces 12 shards on 6000 rows
-            ..EngineConfig::default()
         });
         let parallel = engine.audit(&data.dataset, &spec).unwrap();
         assert_reports_identical(&sequential, &parallel, &format!("hiring/{threads}t"));
@@ -96,7 +95,6 @@ fn parallel_audit_matches_sequential_on_intersectional() {
         let engine = Engine::new(EngineConfig {
             num_threads: threads,
             shard_size: 1024,
-            ..EngineConfig::default()
         });
         let parallel = engine.audit(&ds, &spec).unwrap();
         assert_reports_identical(
@@ -135,7 +133,6 @@ fn parallel_audit_matches_sequential_with_labels_and_predictions() {
         let engine = Engine::new(EngineConfig {
             num_threads: threads,
             shard_size: 333, // uneven final shard
-            ..EngineConfig::default()
         });
         let parallel = engine.audit(&ds, &spec).unwrap();
         assert_reports_identical(&sequential, &parallel, &format!("predictions/{threads}t"));

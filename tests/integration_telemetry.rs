@@ -29,7 +29,6 @@ fn traced_audits(n: usize, shard_size: usize, threads: usize) -> Vec<Event> {
         EngineConfig {
             num_threads: threads,
             shard_size,
-            ..EngineConfig::default()
         },
         Telemetry::new(ring.clone()),
     );
@@ -188,7 +187,6 @@ fn the_jsonl_trail_round_trips_through_the_parser() {
         EngineConfig {
             num_threads: 2,
             shard_size: 256,
-            ..EngineConfig::default()
         },
         telemetry.clone(),
     );
@@ -224,7 +222,6 @@ fn disabled_telemetry_emits_nothing_through_the_whole_stack() {
     let engine = Engine::new(EngineConfig {
         num_threads: 2,
         shard_size: 256,
-        ..EngineConfig::default()
     });
     let ds = hiring_ds(1500);
     engine
