@@ -19,9 +19,9 @@
 //! `engine.partition` / `engine.scan` / `engine.merge` /
 //! `engine.finalize` / `engine.support_stages` spans, a
 //! `shard_scanned` event per shard (with per-shard wall time, emitted
-//! from the worker that scanned it), and cache hit/miss events with the
-//! dataset fingerprint. With the default disabled telemetry the
-//! instrumentation costs one branch per record point.
+//! from the worker that scanned it), and cache hit/miss events naming
+//! the cache entry that served or was built. With the default disabled
+//! telemetry the instrumentation costs one branch per record point.
 
 use crate::error::EngineError;
 use crate::partition::{CacheStats, Partition, PartitionCache};
@@ -155,14 +155,14 @@ impl Engine {
             let event = if lookup.hit {
                 self.telemetry.counter("engine.partition_cache.hits").incr();
                 FairnessEvent::PartitionCacheHit {
-                    fingerprint: lookup.fingerprint,
+                    entry: lookup.entry,
                 }
             } else {
                 self.telemetry
                     .counter("engine.partition_cache.misses")
                     .incr();
                 FairnessEvent::PartitionCacheMiss {
-                    fingerprint: lookup.fingerprint,
+                    entry: lookup.entry,
                 }
             };
             self.telemetry.emit(event);

@@ -13,7 +13,7 @@
 //!   finalizes the exact same `AuditReport` the sequential
 //!   `fairbridge-audit` pipeline produces — bitwise-identical metric gaps
 //!   for any thread count. A [`PartitionCache`] memoizes the row → group
-//!   map per (dataset fingerprint, protected set);
+//!   map per protected set and protected columns, compared exactly;
 //! * [`monitor`] — [`StreamingMonitor`] ingests live decision events into
 //!   tumbling windowed accumulators and flags drift when windowed
 //!   disparity stays across a threshold in consecutive windows — the
@@ -47,6 +47,4 @@ pub use error::EngineError;
 pub use executor::{AuditSpec, Engine, EngineConfig};
 pub use fairbridge_metrics::{from_accumulator, GroupAccumulator, GroupCounts};
 pub use monitor::{MonitorConfig, MonitorSnapshot, StreamingMonitor, WindowSummary};
-pub use partition::{
-    dataset_fingerprint, CacheLookup, CacheStats, Partition, PartitionCache, DEFAULT_CACHE_CAPACITY,
-};
+pub use partition::{CacheLookup, CacheStats, Partition, PartitionCache, DEFAULT_CACHE_CAPACITY};

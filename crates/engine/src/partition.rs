@@ -5,12 +5,11 @@
 //! contiguous row range and must resolve each row's group in O(1).
 //! [`Partition`] inverts the index once (preserving the sorted key order
 //! every metric iterates in), and [`PartitionCache`] memoizes partitions
-//! keyed by a dataset fingerprint plus the protected-attribute set, so
-//! repeated audits of the same dataset skip the `GroupIndex` build. The
-//! fingerprint only finds the candidate entry: a hit is served after the
-//! protected columns compare equal to the ones the partition was built
-//! from, so a colliding dataset can never receive another dataset's
-//! partition (or, in the daemon, another tenant's level names).
+//! so repeated audits of the same dataset skip the `GroupIndex` build.
+//! An entry is identified by its content: a hit is served only when the
+//! protected names and columns (levels and codes) equal the ones the
+//! partition was built from, so no other dataset can ever receive it
+//! (or, in the daemon, another tenant's level names).
 //!
 //! The cache is **bounded**: at most `capacity` partitions are retained,
 //! with least-recently-used eviction, and every hit/miss/insert/eviction
@@ -20,8 +19,6 @@
 use crate::error::EngineError;
 use fairbridge_metrics::GroupAccumulator;
 use fairbridge_tabular::{Column, Dataset, GroupIndex, GroupKey, GroupSpec};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A row-addressable group partition: sorted keys plus a dense
@@ -75,56 +72,6 @@ impl Partition {
     }
 }
 
-/// 64-bit FNV-1a fingerprint of the columns that determine a partition:
-/// row count plus each protected column's name, kind and codes. Two
-/// datasets with identical protected columns collide on purpose — they
-/// induce the same partition.
-pub fn dataset_fingerprint(ds: &Dataset, protected: &[&str]) -> Result<u64, EngineError> {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&(ds.n_rows() as u64).to_le_bytes());
-    for name in protected {
-        eat(name.as_bytes());
-        eat(&[0xff]);
-        let col = ds.column(name)?;
-        match col {
-            Column::Categorical { levels, codes } => {
-                eat(&[1]);
-                for l in levels {
-                    eat(l.as_bytes());
-                    eat(&[0xff]);
-                }
-                for &c in codes {
-                    eat(&c.to_le_bytes());
-                }
-            }
-            Column::Boolean(v) => {
-                eat(&[2]);
-                for &b in v {
-                    eat(&[u8::from(b)]);
-                }
-            }
-            Column::Numeric(v) => {
-                eat(&[3]);
-                for &x in v {
-                    eat(&x.to_bits().to_le_bytes());
-                }
-            }
-        }
-    }
-    Ok(h)
-}
-
-/// Cache key: `(dataset fingerprint, protected-attribute set)`.
-type CacheKey = (u64, Vec<String>);
-
 /// The outcome of one cache lookup, as the telemetry layer records it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheLookup {
@@ -132,8 +79,10 @@ pub struct CacheLookup {
     pub partition: Arc<Partition>,
     /// Whether the cache already held it.
     pub hit: bool,
-    /// The dataset fingerprint that keyed the lookup.
-    pub fingerprint: u64,
+    /// Insert sequence number (1-based) of the entry that served the
+    /// lookup, or of the entry built on the miss — ties a hit to the
+    /// build that produced it.
+    pub entry: u64,
 }
 
 /// A point-in-time summary of the cache's effectiveness and occupancy.
@@ -165,47 +114,83 @@ impl CacheStats {
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 
 struct CacheEntry {
-    partition: Arc<Partition>,
+    /// The protected-attribute names, in request order.
+    protected: Vec<String>,
     /// The protected columns the partition was built from, in
     /// `protected` order.
     columns: Vec<Column>,
+    partition: Arc<Partition>,
+    /// Insert sequence number, reported as [`CacheLookup::entry`].
+    seq: u64,
     last_used: u64,
 }
 
 impl CacheEntry {
-    /// Whether this entry was built from exactly `columns`. Only
-    /// categorical and boolean columns reach the cache (`Partition::build`
-    /// rejects numeric ones), so derived equality is exact.
-    fn built_from(&self, columns: &[&Column]) -> bool {
-        self.columns.iter().eq(columns.iter().copied())
+    /// Whether this entry was built from exactly `columns` under the
+    /// names `protected`. Only categorical and boolean columns reach the
+    /// cache (`Partition::build` rejects numeric ones), so derived
+    /// equality is exact, and a mismatch stops at the first differing
+    /// element.
+    fn built_from(&self, protected: &[&str], columns: &[&Column]) -> bool {
+        self.protected
+            .iter()
+            .map(String::as_str)
+            .eq(protected.iter().copied())
+            && self.columns.iter().eq(columns.iter().copied())
     }
-}
 
-/// A thread-safe, bounded, LRU-evicting memo of [`Partition`]s keyed by
-/// `(dataset fingerprint, protected-attribute set)`.
-///
-/// The entry map is a `BTreeMap`, not a `HashMap`: the cache sits inside
-/// the deterministic audit engine, and an ordered map guarantees that any
-/// iteration over it (today: the LRU eviction scan) visits entries in key
-/// order on every run — there is no hash-seed randomness anywhere in the
-/// audit path (fb-lint rule D1).
-#[derive(Debug)]
-pub struct PartitionCache {
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    entries: Mutex<BTreeMap<CacheKey, CacheEntry>>,
+    fn lookup(&self, hit: bool) -> CacheLookup {
+        CacheLookup {
+            partition: Arc::clone(&self.partition),
+            hit,
+            entry: self.seq,
+        }
+    }
 }
 
 impl std::fmt::Debug for CacheEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheEntry")
+            .field("protected", &self.protected)
+            .field("seq", &self.seq)
             .field("last_used", &self.last_used)
             .finish()
     }
+}
+
+/// Everything behind the cache's one mutex: the entries, in insertion
+/// order, and the counters every lookup updates while holding it.
+#[derive(Debug, Default)]
+struct CacheState {
+    entries: Vec<CacheEntry>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    inserts: u64,
+    evictions: u64,
+}
+
+impl CacheState {
+    fn find(&mut self, protected: &[&str], columns: &[&Column]) -> Option<&mut CacheEntry> {
+        self.entries
+            .iter_mut()
+            .find(|e| e.built_from(protected, columns))
+    }
+}
+
+/// A thread-safe, bounded, LRU-evicting memo of [`Partition`]s,
+/// identified by the protected-attribute names and columns they were
+/// built from.
+///
+/// A lookup scans the at most `capacity` entries and serves one whose
+/// names and columns equal the request's. The entries live in a `Vec`
+/// in insertion order, so every scan — lookup and LRU eviction — visits
+/// them in the same order on every run: there is no hash-seed
+/// randomness anywhere in the audit path (fb-lint rule D1).
+#[derive(Debug)]
+pub struct PartitionCache {
+    capacity: usize,
+    state: Mutex<CacheState>,
 }
 
 impl Default for PartitionCache {
@@ -227,119 +212,71 @@ impl PartitionCache {
     fn with_capacity(capacity: usize) -> PartitionCache {
         PartitionCache {
             capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            entries: Mutex::new(BTreeMap::new()),
+            state: Mutex::new(CacheState::default()),
         }
     }
 
-    /// Locks the entry map, absorbing poisoning: the map holds only
-    /// memoized partitions, so a panic in another thread cannot leave it
-    /// logically inconsistent — serving from it stays sound.
-    fn entries(&self) -> MutexGuard<'_, BTreeMap<CacheKey, CacheEntry>> {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    /// Locks the cache state, absorbing poisoning: it holds only
+    /// memoized partitions and counters, so a panic in another thread
+    /// cannot leave it logically inconsistent — serving from it stays
+    /// sound.
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks up (building on miss) the partition for `(ds, protected)`
     /// and reports whether it was a hit — the traced entry point.
     pub fn fetch(&self, ds: &Dataset, protected: &[&str]) -> Result<CacheLookup, EngineError> {
-        self.fetch_keyed(dataset_fingerprint(ds, protected)?, ds, protected)
-    }
-
-    /// [`PartitionCache::fetch`] under a given fingerprint — the seam
-    /// that lets tests force two datasets onto one fingerprint.
-    fn fetch_keyed(
-        &self,
-        fingerprint: u64,
-        ds: &Dataset,
-        protected: &[&str],
-    ) -> Result<CacheLookup, EngineError> {
         let columns = protected
             .iter()
             .map(|name| ds.column(name))
             .collect::<Result<Vec<_>, _>>()?;
-        let key = (
-            fingerprint,
-            protected
-                .iter()
-                .map(|s| (*s).to_owned())
-                .collect::<Vec<_>>(),
-        );
-        // Stamps only need to be unique and monotone per-counter;
-        // cross-thread LRU ordering is settled under the entries mutex,
-        // never by the atomic itself.
-        // ORDER: Relaxed — uniqueness only, no memory is published.
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(entry) = self
-            .entries()
-            .get_mut(&key)
-            .filter(|e| e.built_from(&columns))
-        {
-            entry.last_used = stamp;
-            // Readers only ever see this via a point-in-time snapshot.
-            // ORDER: Relaxed — monotonic stat counter.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(CacheLookup {
-                partition: Arc::clone(&entry.partition),
-                hit: true,
-                fingerprint,
-            });
-        }
+        let stamp = {
+            let mut state = self.state();
+            state.tick += 1;
+            let stamp = state.tick;
+            if let Some(entry) = state.find(protected, &columns) {
+                entry.last_used = stamp;
+                let lookup = entry.lookup(true);
+                state.hits += 1;
+                return Ok(lookup);
+            }
+            stamp
+        };
         // Build outside the lock: partition construction is the
         // expensive part and must not serialize other lookups.
         let built = Arc::new(Partition::build(ds, protected)?);
-        // ORDER: Relaxed — stat counter, no data is published through it.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries();
+        let mut state = self.state();
+        state.misses += 1;
         // A racing builder may have inserted meanwhile; keep the first.
-        if let Some(entry) = entries.get_mut(&key).filter(|e| e.built_from(&columns)) {
+        if let Some(entry) = state.find(protected, &columns) {
             entry.last_used = stamp;
-            return Ok(CacheLookup {
-                partition: Arc::clone(&entry.partition),
-                hit: false,
-                fingerprint,
-            });
+            return Ok(entry.lookup(false));
         }
-        // An entry under this key built from other columns is a
-        // fingerprint collision: the new partition replaces it.
-        entries.remove(&key);
-        while entries.len() >= self.capacity {
-            // Stamps are unique (fetch_add), so the LRU minimum is unique
-            // too; iterating the BTreeMap visits keys in sorted order, so
-            // even a hypothetical tie would break deterministically.
-            let oldest = entries
+        if state.entries.len() >= self.capacity {
+            // Stamps are unique, so the LRU minimum is unique too.
+            let oldest = state
+                .entries
                 .iter()
+                .enumerate()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match oldest {
-                Some(k) => {
-                    entries.remove(&k);
-                    // The entries mutex already orders the eviction.
-                    // ORDER: Relaxed — stat counter.
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
+                .map(|(i, _)| i);
+            if let Some(i) = oldest {
+                state.entries.remove(i);
+                state.evictions += 1;
             }
         }
-        entries.insert(
-            key,
-            CacheEntry {
-                partition: Arc::clone(&built),
-                columns: columns.into_iter().cloned().collect(),
-                last_used: stamp,
-            },
-        );
-        // The insert itself was ordered by the entries mutex above.
-        // ORDER: Relaxed — stat counter.
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        Ok(CacheLookup {
+        state.inserts += 1;
+        let entry = CacheEntry {
+            protected: protected.iter().map(|s| (*s).to_owned()).collect(),
+            columns: columns.into_iter().cloned().collect(),
             partition: built,
-            hit: false,
-            fingerprint,
-        })
+            seq: state.inserts,
+            last_used: stamp,
+        };
+        let lookup = entry.lookup(false);
+        state.entries.push(entry);
+        Ok(lookup)
     }
 
     /// Returns the cached partition for `(ds, protected)`, building and
@@ -352,23 +289,22 @@ impl PartitionCache {
         self.fetch(ds, protected).map(|lookup| lookup.partition)
     }
 
-    /// A point-in-time stats snapshot.
+    /// A point-in-time stats snapshot, read under the cache's lock.
     pub fn stats(&self) -> CacheStats {
-        // A stats snapshot is advisory; the four counters need no
-        // mutual consistency, only per-read atomicity.
+        let state = self.state();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed), // ORDER: Relaxed — advisory stat
-            misses: self.misses.load(Ordering::Relaxed), // ORDER: Relaxed — advisory stat
-            inserts: self.inserts.load(Ordering::Relaxed), // ORDER: Relaxed — advisory stat
-            evictions: self.evictions.load(Ordering::Relaxed), // ORDER: Relaxed — advisory stat
-            len: self.len(),
+            hits: state.hits,
+            misses: state.misses,
+            inserts: state.inserts,
+            evictions: state.evictions,
+            len: state.entries.len(),
             capacity: self.capacity,
         }
     }
 
     /// Number of cached partitions.
     pub fn len(&self) -> usize {
-        self.entries().len()
+        self.state().entries.len()
     }
 
     /// Whether the cache is empty.
@@ -399,8 +335,8 @@ mod tests {
             .unwrap()
     }
 
-    /// A dataset with `n` rows whose protected column content varies
-    /// with `variant`, so each variant fingerprints differently.
+    /// A four-row dataset whose last protected code varies with
+    /// `variant`, so each of the first three variants is distinct.
     fn variant(variant: u32) -> Dataset {
         Dataset::builder()
             .categorical_with_role(
@@ -428,36 +364,17 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_content_sensitive() {
-        let ds = sample();
-        let a = dataset_fingerprint(&ds, &["sex"]).unwrap();
-        let b = dataset_fingerprint(&ds, &["sex"]).unwrap();
-        assert_eq!(a, b);
-        let other = Dataset::builder()
-            .categorical_with_role(
-                "sex",
-                vec!["male", "female"],
-                vec![0, 1, 0, 1, 1, 1], // one code differs
-                Role::Protected,
-            )
-            .boolean_with_role(
-                "hired",
-                vec![true, false, true, false, true, false],
-                Role::Label,
-            )
-            .build()
-            .unwrap();
-        assert_ne!(a, dataset_fingerprint(&other, &["sex"]).unwrap());
-        assert_ne!(
-            dataset_fingerprint(&ds, &["sex"]).unwrap(),
-            dataset_fingerprint(&ds, &["hired"]).unwrap()
-        );
-    }
-
-    #[test]
     fn unknown_column_is_a_typed_dataset_error() {
-        let err = dataset_fingerprint(&sample(), &["nope"]).unwrap_err();
+        let cache = PartitionCache::new();
+        let err = cache.fetch(&sample(), &["nope"]).unwrap_err();
         assert!(matches!(err, EngineError::Dataset(_)), "{err:?}");
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                capacity: DEFAULT_CACHE_CAPACITY,
+                ..CacheStats::default()
+            }
+        );
     }
 
     #[test]
@@ -469,10 +386,10 @@ mod tests {
         assert!(!first.hit);
         let second = cache.fetch(&ds, &["sex"]).unwrap();
         assert!(second.hit);
-        assert_eq!(first.fingerprint, second.fingerprint);
+        assert_eq!((first.entry, second.entry), (1, 1));
         assert!(Arc::ptr_eq(&first.partition, &second.partition));
         assert_eq!(cache.len(), 1);
-        let _ = cache.get_or_build(&ds, &["hired"]).unwrap();
+        assert_eq!(cache.fetch(&ds, &["hired"]).unwrap().entry, 2);
         assert_eq!(cache.len(), 2);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 2, 2));
@@ -482,32 +399,37 @@ mod tests {
     }
 
     #[test]
-    fn colliding_fingerprint_builds_its_own_partition() {
+    fn datasets_alike_in_names_and_rows_build_their_own_partitions() {
         let cache = PartitionCache::new();
         let first = sample();
-        let second = Dataset::builder()
-            .categorical_with_role(
-                "sex",
-                vec!["tenant-b-x", "tenant-b-y"],
-                vec![1, 1, 0, 1, 0, 0],
-                Role::Protected,
-            )
-            .build()
-            .unwrap();
+        let protected = |levels: Vec<&str>, codes: Vec<u32>| {
+            Dataset::builder()
+                .categorical_with_role("sex", levels, codes, Role::Protected)
+                .build()
+                .unwrap()
+        };
+        // Same protected name and row count, other levels and codes.
+        let other = protected(vec!["tenant-b-x", "tenant-b-y"], vec![1, 1, 0, 1, 0, 0]);
+        // Differs from `first` only in its last protected code.
+        let last_code = protected(vec!["male", "female"], vec![0, 1, 0, 1, 1, 1]);
         let own = |ds: &Dataset| Partition::build(ds, &["sex"]).unwrap();
-        // Both datasets forced onto one fingerprint.
-        let a = cache.fetch_keyed(7, &first, &["sex"]).unwrap();
-        let b = cache.fetch_keyed(7, &second, &["sex"]).unwrap();
-        assert!(!b.hit, "a colliding dataset is a miss");
-        assert_eq!(*b.partition, own(&second));
-        assert_ne!(b.partition.keys(), a.partition.keys());
-        // The displaced dataset rebuilds its own; a true repeat hits.
-        let again = cache.fetch_keyed(7, &first, &["sex"]).unwrap();
-        assert!(!again.hit);
-        assert_eq!(*again.partition, own(&first));
-        assert!(cache.fetch_keyed(7, &first, &["sex"]).unwrap().hit);
+        let a = cache.fetch(&first, &["sex"]).unwrap();
+        for (ds, entry) in [(&other, 2), (&last_code, 3)] {
+            let b = cache.fetch(ds, &["sex"]).unwrap();
+            assert!(!b.hit, "different content is a miss");
+            assert_eq!(b.entry, entry);
+            assert_eq!(*b.partition, own(ds));
+            assert_ne!(*b.partition, *a.partition);
+        }
+        // Each dataset is then served the entry built from it.
+        for (ds, entry) in [(&first, 1), (&other, 2), (&last_code, 3)] {
+            let again = cache.fetch(ds, &["sex"]).unwrap();
+            assert!(again.hit);
+            assert_eq!(again.entry, entry);
+            assert_eq!(*again.partition, own(ds));
+        }
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 3, 1));
+        assert_eq!((stats.hits, stats.misses, stats.len), (3, 3, 3));
     }
 
     #[test]
@@ -526,7 +448,7 @@ mod tests {
         assert!(!cache.fetch(&b, &["g"]).unwrap().hit, "b was evicted");
     }
 
-    /// A dataset whose fingerprint is unique per `v` (row count differs).
+    /// A dataset that is distinct per `v` (row count differs).
     fn sized(v: usize) -> Dataset {
         let n = 4 + v;
         Dataset::builder()
@@ -542,7 +464,7 @@ mod tests {
     }
 
     /// Regression for the D1 determinism hazard this module used to
-    /// carry: the entry map is ordered (`BTreeMap`), so every observable
+    /// carry: the entries are kept in insertion order, so every observable
     /// of an identical workload — hit pattern, survivors, stats — is
     /// identical run to run, with no hash-seed state to diverge.
     #[test]

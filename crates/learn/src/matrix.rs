@@ -102,20 +102,8 @@ impl Matrix {
         self.data[i * self.n_cols + j] = v;
     }
 
-    /// Extracts column `j` as a fresh vector.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a Vec per call; use `col_into` with a reused buffer"
-    )]
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.col_into(j, &mut out);
-        out
-    }
-
     /// Writes column `j` into `out` (cleared first), reusing its
-    /// allocation. The allocation-free replacement for the deprecated
-    /// [`Matrix::col`].
+    /// allocation.
     pub fn col_into(&self, j: usize, out: &mut Vec<f64>) {
         assert!(j < self.n_cols, "column {j} out of range");
         out.clear();
@@ -420,9 +408,6 @@ mod tests {
         m.col_into(1, &mut buf);
         assert_eq!(buf, vec![2.0, 4.0, 6.0]);
         assert_eq!(buf.capacity(), cap, "buffer reallocated");
-        #[allow(deprecated)]
-        let owned = m.col(1);
-        assert_eq!(owned, buf);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! `"kind"` discriminator) so the crate stays dependency-free; the
 //! matching parser lives in [`crate::json`].
 
-use crate::json::push_str_lit;
+use crate::json::{push_f64, push_str_lit};
 use std::fmt::Write as _;
 
 /// The envelope around one telemetry record.
@@ -108,13 +108,14 @@ pub enum FairnessEvent {
     },
     /// The partition cache served a memoized row→group partition.
     PartitionCacheHit {
-        /// The dataset fingerprint that keyed the hit.
-        fingerprint: u64,
+        /// Insert sequence number of the cache entry that served the hit
+        /// — the `entry` of the miss that built it.
+        entry: u64,
     },
     /// The partition cache had to build (and insert) a partition.
     PartitionCacheMiss {
-        /// The dataset fingerprint that keyed the miss.
-        fingerprint: u64,
+        /// Insert sequence number of the cache entry built on the miss.
+        entry: u64,
     },
     /// A streaming-monitor tumbling window sealed.
     WindowClosed {
@@ -185,8 +186,6 @@ pub enum FairnessEvent {
     RequestCoalesced {
         /// Tenant id of the attaching (follower) request.
         tenant: String,
-        /// The request fingerprint both requests hashed to.
-        fingerprint: u64,
     },
     /// The daemon drained: every admitted request completed before exit.
     ServerDrained {
@@ -269,14 +268,6 @@ impl FairnessEvent {
 
 /// Appends an `f64` as a JSON number, or `null` when not finite (JSON has
 /// no NaN/Infinity).
-fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn push_opt_u64(out: &mut String, v: Option<u64>) {
     match v {
         Some(v) => {
@@ -288,8 +279,7 @@ fn push_opt_u64(out: &mut String, v: Option<u64>) {
 
 impl Event {
     /// Renders the event as one self-contained JSON object (no trailing
-    /// newline). Field order is stable; `u64` fingerprints are rendered
-    /// as hex strings so they survive f64-based JSON readers intact.
+    /// newline). Field order is stable.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
         let _ = write!(s, "{{\"t_ns\":{},\"thread\":{},", self.t_ns, self.thread);
@@ -372,9 +362,9 @@ impl Event {
                         ",\"shard\":{shard},\"rows\":{rows},\"elapsed_ns\":{elapsed_ns}"
                     );
                 }
-                FairnessEvent::PartitionCacheHit { fingerprint }
-                | FairnessEvent::PartitionCacheMiss { fingerprint } => {
-                    let _ = write!(s, ",\"fingerprint\":\"{fingerprint:#018x}\"");
+                FairnessEvent::PartitionCacheHit { entry }
+                | FairnessEvent::PartitionCacheMiss { entry } => {
+                    let _ = write!(s, ",\"entry\":{entry}");
                 }
                 FairnessEvent::WindowClosed {
                     window,
@@ -443,13 +433,9 @@ impl Event {
                     push_str_lit(&mut s, endpoint);
                     let _ = write!(s, ",\"status\":{status}");
                 }
-                FairnessEvent::RequestCoalesced {
-                    tenant,
-                    fingerprint,
-                } => {
+                FairnessEvent::RequestCoalesced { tenant } => {
                     s.push_str(",\"tenant\":");
                     push_str_lit(&mut s, tenant);
-                    let _ = write!(s, ",\"fingerprint\":\"{fingerprint:#018x}\"");
                 }
                 FairnessEvent::ServerDrained {
                     completed,
@@ -545,16 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_render_as_hex_strings() {
-        let e = envelope(EventKind::Fairness(FairnessEvent::PartitionCacheHit {
-            fingerprint: 0xDEAD_BEEF,
-        }));
-        assert!(e
-            .to_json()
-            .contains("\"fingerprint\":\"0x00000000deadbeef\""));
-    }
-
-    #[test]
     fn subgroup_audit_started_renders_payload() {
         let e = envelope(EventKind::Fairness(FairnessEvent::SubgroupAuditStarted {
             rows: 8000,
@@ -585,11 +561,10 @@ mod tests {
 
         let e = envelope(EventKind::Fairness(FairnessEvent::RequestCoalesced {
             tenant: "bank-b".into(),
-            fingerprint: 0xDEAD_BEEF,
         }));
-        let json = e.to_json();
-        assert!(json.contains("\"kind\":\"request_coalesced\""));
-        assert!(json.contains("\"fingerprint\":\"0x00000000deadbeef\""));
+        assert!(e
+            .to_json()
+            .ends_with("\"kind\":\"request_coalesced\",\"tenant\":\"bank-b\"}"));
 
         let e = envelope(EventKind::Fairness(FairnessEvent::RequestRejected {
             tenant: "anonymous".into(),

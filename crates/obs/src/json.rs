@@ -140,6 +140,16 @@ pub fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends an `f64` as a JSON number (`{x}` formatting), or `null` when
+/// it is not finite.
+pub fn push_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 /// `10^k` for every `k` the exact number path divides by; each is an
 /// exact `f64`.
 const POW10: [f64; 16] = [

@@ -333,7 +333,7 @@ mod tests {
         {
             let guard = telemetry.span("ignored");
             assert!(!guard.is_recording());
-            telemetry.emit(FairnessEvent::PartitionCacheHit { fingerprint: 1 });
+            telemetry.emit(FairnessEvent::PartitionCacheHit { entry: 1 });
             telemetry.counter("c").incr();
             telemetry.histogram("h").record(9);
         }

@@ -1,21 +1,17 @@
 //! Request coalescing: concurrent identical requests share one
 //! computation.
 //!
-//! Every admitted `POST` claims a slot keyed by the FNV-1a fingerprint
-//! of `(endpoint, body bytes)` — the same hash family the engine's
-//! partition cache keys datasets with, extended to the whole request.
-//! The hash alone is **not** trusted for identity: the slot stores the
-//! leader's `(endpoint, body)` and a later claimant attaches as a
-//! follower only after byte-comparing its own request against it, so
-//! two requests coalesce only when their responses are guaranteed
-//! byte-identical. A fingerprint *collision* (same key, different
-//! request) hands the claimant a private, unregistered slot and its own
-//! independent computation — never another request's (or tenant's)
-//! response. The first claimant becomes the **leader** and owns
-//! scheduling the computation; followers park on the slot and receive
-//! the exact same [`Payload`] `Arc` the leader's computation publishes.
-//! The tenant header is deliberately *not* part of the key: tenancy is
-//! attribution (spans, counters, events), never computation.
+//! Every admitted `POST` claims the slot keyed by its own
+//! `(endpoint, body bytes)`: the in-flight map is ordered by the bytes
+//! themselves, so a claim costs O(log in-flight) memcmp comparisons
+//! under the mutex and two requests coalesce only when they are
+//! byte-identical — which guarantees byte-identical responses. The key
+//! and the slot share one copy of the body. The first claimant becomes
+//! the **leader** and owns scheduling the computation; followers park
+//! on the slot and receive the exact same [`Payload`] `Arc` the
+//! leader's computation publishes. The tenant header is deliberately
+//! *not* part of the key: tenancy is attribution (spans, counters,
+//! events), never computation.
 //!
 //! The slot lifecycle guarantees no follower waits forever: whoever is
 //! leader **always** publishes — a successful result, a 4xx parse
@@ -32,40 +28,17 @@ use crate::http::Payload;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// FNV-1a over `endpoint`, a zero separator, and the body bytes — the
-/// coalescing key.
-pub fn fingerprint(endpoint: &str, body: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in endpoint.as_bytes().iter().chain([0u8].iter()).chain(body) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// One in-flight computation: followers park here until the leader's
-/// result is published. The slot carries the leader's request so (a)
-/// later claimants can byte-verify identity before attaching and (b)
-/// the worker executes against the exact bytes the slot answers for.
+/// result is published. The slot carries the request it answers for,
+/// so the worker executes against exactly the bytes that keyed it.
 pub struct Slot {
     endpoint: &'static str,
-    body: Vec<u8>,
+    body: Arc<[u8]>,
     done: Mutex<Option<Arc<Payload>>>,
     cv: Condvar,
 }
 
 impl Slot {
-    fn new(endpoint: &'static str, body: Vec<u8>) -> Slot {
-        Slot {
-            endpoint,
-            body,
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
     /// The endpoint this slot's computation answers for.
     pub fn endpoint(&self) -> &'static str {
         self.endpoint
@@ -99,17 +72,20 @@ impl Slot {
 /// The claim outcome: whoever gets `Leader` must eventually call
 /// [`Coalescer::publish`] with that slot.
 pub enum Claim {
-    /// Owns scheduling and publication — either the first claimant for
-    /// the key, or a fingerprint-collision victim on a private slot.
+    /// The first claimant for the request: owns scheduling and
+    /// publication.
     Leader(Arc<Slot>),
     /// Attached to an in-flight byte-identical computation — just wait.
     Follower(Arc<Slot>),
 }
 
-/// The in-flight request table.
+/// One endpoint's in-flight slots, keyed by the body bytes they share.
+type Slots = BTreeMap<Arc<[u8]>, Arc<Slot>>;
+
+/// The in-flight request table: endpoint, then body bytes, to slot.
 #[derive(Default)]
 pub struct Coalescer {
-    inflight: Mutex<BTreeMap<u64, Arc<Slot>>>,
+    inflight: Mutex<BTreeMap<&'static str, Slots>>,
 }
 
 impl Coalescer {
@@ -118,47 +94,47 @@ impl Coalescer {
         Coalescer::default()
     }
 
-    /// Claims the slot for `key`: the first claimant leads, later
-    /// claimants whose `(endpoint, body)` byte-match the leader's
-    /// follow. A claimant whose request *differs* despite the equal key
-    /// (a fingerprint collision) leads on a private slot that is never
-    /// registered, so colliding requests compute independently.
-    pub fn claim(&self, key: u64, endpoint: &'static str, body: &[u8]) -> Claim {
+    /// Claims the slot for `(endpoint, body)`: the first claimant leads,
+    /// later claimants of the same bytes follow until it is published.
+    pub fn claim(&self, endpoint: &'static str, body: &[u8]) -> Claim {
         let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(slot) = inflight.get(&key) {
-            if slot.endpoint == endpoint && slot.body == body {
-                return Claim::Follower(Arc::clone(slot));
-            }
-            return Claim::Leader(Arc::new(Slot::new(endpoint, body.to_vec())));
+        let slots = inflight.entry(endpoint).or_default();
+        if let Some(slot) = slots.get(body) {
+            return Claim::Follower(Arc::clone(slot));
         }
-        let slot = Arc::new(Slot::new(endpoint, body.to_vec()));
-        inflight.insert(key, Arc::clone(&slot));
+        let slot = Arc::new(Slot {
+            endpoint,
+            body: Arc::from(body),
+            done: Mutex::new(None),
+            cv: Condvar::new(),
+        });
+        slots.insert(Arc::clone(&slot.body), Arc::clone(&slot));
         Claim::Leader(slot)
     }
 
     /// Publishes the result to `slot`, waking every attached request,
-    /// and — if `key` is still registered to this very slot — retires
-    /// the key so later arrivals recompute. A private collision slot is
-    /// not registered, so publishing it never unhooks the slot that
-    /// legitimately owns the key. Returns the shared payload.
-    pub fn publish(&self, key: u64, slot: &Arc<Slot>, payload: Payload) -> Arc<Payload> {
+    /// and retires its key so later arrivals recompute. Returns the
+    /// shared payload.
+    pub fn publish(&self, slot: &Arc<Slot>, payload: Payload) -> Arc<Payload> {
         let payload = Arc::new(payload);
         {
             let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            if inflight.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, slot)) {
-                inflight.remove(&key);
+            if let Some(slots) = inflight.get_mut(slot.endpoint) {
+                slots.remove(slot.body());
             }
         }
         slot.publish(Arc::clone(&payload));
         payload
     }
 
-    /// Keys currently in flight.
+    /// Requests currently in flight.
     pub fn in_flight(&self) -> usize {
         self.inflight
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .len()
+            .values()
+            .map(Slots::len)
+            .sum()
     }
 }
 
@@ -167,33 +143,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fingerprint_separates_endpoint_and_body() {
-        assert_ne!(
-            fingerprint("/audit", b"{}"),
-            fingerprint("/mitigate", b"{}")
-        );
-        assert_ne!(fingerprint("/audit", b"a"), fingerprint("/audit", b"b"));
-        assert_eq!(fingerprint("/audit", b"x"), fingerprint("/audit", b"x"));
-        // The separator prevents boundary ambiguity.
-        assert_ne!(fingerprint("/a", b"b"), fingerprint("/ab", b""));
-    }
-
-    #[test]
     fn leader_then_followers_share_one_payload() {
         let c = Coalescer::new();
-        let key = fingerprint("/audit", b"{}");
-        let Claim::Leader(leader_slot) = c.claim(key, "/audit", b"{}") else {
+        let Claim::Leader(leader_slot) = c.claim("/audit", b"{}") else {
             panic!("first claim must lead");
         };
-        let Claim::Follower(follower_slot) = c.claim(key, "/audit", b"{}") else {
+        let Claim::Follower(follower_slot) = c.claim("/audit", b"{}") else {
             panic!("second identical claim must follow");
         };
         assert_eq!(c.in_flight(), 1);
-        let published = c.publish(
-            key,
-            &leader_slot,
-            Payload::json(200, "{\"ok\":true}".into()),
-        );
+        let published = c.publish(&leader_slot, Payload::json(200, "{\"ok\":true}".into()));
         assert!(Arc::ptr_eq(&published, &leader_slot.wait()));
         assert!(Arc::ptr_eq(&published, &follower_slot.wait()));
         assert_eq!(c.in_flight(), 0, "publication retires the key");
@@ -202,13 +161,12 @@ mod tests {
     #[test]
     fn after_publication_a_new_claim_leads_again() {
         let c = Coalescer::new();
-        let key = fingerprint("/audit", b"{}");
-        let Claim::Leader(slot) = c.claim(key, "/audit", b"{}") else {
+        let Claim::Leader(slot) = c.claim("/audit", b"{}") else {
             panic!("lead");
         };
-        c.publish(key, &slot, Payload::json(200, "{}".into()));
+        c.publish(&slot, Payload::json(200, "{}".into()));
         assert!(
-            matches!(c.claim(key, "/audit", b"{}"), Claim::Leader(_)),
+            matches!(c.claim("/audit", b"{}"), Claim::Leader(_)),
             "retired keys restart, they do not serve stale results"
         );
     }
@@ -216,30 +174,36 @@ mod tests {
     #[test]
     fn colliding_key_with_different_request_never_follows() {
         let c = Coalescer::new();
-        // Same key claimed with different requests — the situation a
-        // real FNV-1a collision produces.
-        let key = 42;
-        let Claim::Leader(a) = c.claim(key, "/audit", b"aaa") else {
+        let Claim::Leader(a) = c.claim("/audit", b"aaa") else {
             panic!("first claim leads");
         };
-        let Claim::Leader(b) = c.claim(key, "/audit", b"bbb") else {
-            panic!("a colliding claim must not attach to a different request");
-        };
-        let Claim::Leader(m) = c.claim(key, "/mitigate", b"aaa") else {
-            panic!("an endpoint mismatch must not attach either");
-        };
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(c.in_flight(), 1, "private slots are never registered");
+        // Different bytes, the same bytes on another endpoint, and a
+        // body that differs only in its final byte each lead their own
+        // computation.
+        let others: Vec<Arc<Slot>> = [
+            ("/audit", &b"bbb"[..]),
+            ("/mitigate", b"aaa"),
+            ("/audit", b"aab"),
+        ]
+        .into_iter()
+        .map(|(endpoint, body)| match c.claim(endpoint, body) {
+            Claim::Leader(slot) => slot,
+            Claim::Follower(_) => panic!("{endpoint} {body:?} must not attach to /audit aaa"),
+        })
+        .collect();
+        assert_eq!(c.in_flight(), 4);
+        assert!(others.iter().all(|o| !Arc::ptr_eq(o, &a)));
 
-        // Publishing a private slot answers only its own request and
-        // leaves the registered owner in flight.
-        c.publish(key, &b, Payload::json(200, "{\"b\":1}".into()));
-        c.publish(key, &m, Payload::json(200, "{\"m\":1}".into()));
-        assert_eq!(b.wait().body, b"{\"b\":1}");
-        assert_eq!(m.wait().body, b"{\"m\":1}");
+        // Publishing one answers only its own request and leaves the
+        // others in flight.
+        for (i, slot) in others.iter().enumerate() {
+            c.publish(slot, Payload::json(200, format!("{{\"o\":{i}}}")));
+            assert_eq!(slot.wait().body, format!("{{\"o\":{i}}}").into_bytes());
+        }
         assert_eq!(c.in_flight(), 1);
+        assert!(matches!(c.claim("/audit", b"aaa"), Claim::Follower(_)));
 
-        c.publish(key, &a, Payload::json(200, "{\"a\":1}".into()));
+        c.publish(&a, Payload::json(200, "{\"a\":1}".into()));
         assert_eq!(a.wait().body, b"{\"a\":1}");
         assert_eq!(c.in_flight(), 0);
     }
@@ -247,21 +211,20 @@ mod tests {
     #[test]
     fn concurrent_followers_unblock_on_publish() {
         let c = Arc::new(Coalescer::new());
-        let key = fingerprint("/audit", b"big");
-        let Claim::Leader(leader) = c.claim(key, "/audit", b"big") else {
+        let Claim::Leader(leader) = c.claim("/audit", b"big") else {
             panic!("lead");
         };
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let c = Arc::clone(&c);
-                std::thread::spawn(move || match c.claim(key, "/audit", b"big") {
+                std::thread::spawn(move || match c.claim("/audit", b"big") {
                     Claim::Follower(slot) => slot.wait().status,
                     Claim::Leader(_) => 0,
                 })
             })
             .collect();
         std::thread::sleep(std::time::Duration::from_millis(20));
-        c.publish(key, &leader, Payload::json(200, "{}".into()));
+        c.publish(&leader, Payload::json(200, "{}".into()));
         for h in handles {
             assert_eq!(h.join().unwrap(), 200);
         }

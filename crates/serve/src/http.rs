@@ -17,6 +17,10 @@ use std::net::TcpStream;
 /// Upper bound on a single header line (request line included).
 const MAX_LINE_BYTES: usize = 16 * 1024;
 
+/// Upper bound on the header lines of one request. Together with
+/// [`MAX_LINE_BYTES`] it bounds a request head to about 1 MiB.
+const MAX_HEADERS: usize = 64;
+
 /// How many read-timeout periods a client that has *started* a request
 /// gets to finish sending it before the daemon gives up. At the 100 ms
 /// default socket timeout this is ~5 s of cumulative stall. Between
@@ -119,6 +123,7 @@ pub fn read_request(
 
     let mut headers = BTreeMap::new();
     let mut timeout_budget = MID_REQUEST_TIMEOUT_BUDGET;
+    let mut header_lines = 0;
     loop {
         let mut hl = String::new();
         loop {
@@ -133,6 +138,10 @@ pub fn read_request(
         let hl = hl.trim_end_matches(['\r', '\n']);
         if hl.is_empty() {
             break;
+        }
+        header_lines += 1;
+        if header_lines > MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} header lines"));
         }
         let Some((name, value)) = hl.split_once(':') else {
             return Err(format!("malformed header line: {hl:?}"));

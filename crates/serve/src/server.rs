@@ -4,7 +4,7 @@
 //! ## Architecture
 //!
 //! ```text
-//! client ──► conn thread (fb-conn-N) ──► coalescer.claim(key)
+//! client ──► conn thread (fb-conn-N) ──► coalescer.claim(endpoint, body)
 //!                 │ leader                      │ follower
 //!                 ▼                             ▼
 //!          BoundedQueue.try_push          slot.wait() ◄─┐
@@ -12,7 +12,7 @@
 //!            ▼             ▼                            │
 //!      fb-worker pool   publish 429/503 ────────────────┤
 //!            │ engine.audit / reweigh                   │
-//!            └── coalescer.publish(key, payload) ───────┘
+//!            └── coalescer.publish(slot, payload) ──────┘
 //! ```
 //!
 //! I/O threads (one per connection) never compute; compute workers (a
@@ -49,7 +49,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::slo::{SloConfig, SloTracker};
 use crate::wire;
 use fairbridge_engine::{Engine, EngineConfig};
-use fairbridge_obs::json::push_str_lit;
+use fairbridge_obs::json::{push_f64, push_str_lit};
 use fairbridge_obs::{FairnessEvent, Telemetry};
 use fairbridge_tabular::par::{spawn_named, WorkerPool};
 use std::collections::BTreeMap;
@@ -167,14 +167,12 @@ impl ServeStats {
 }
 
 /// One queued computation. The request bytes live in the slot, which
-/// also lets the worker publish directly to the claimants even when the
-/// slot is a private (collision) one the key no longer resolves to.
+/// the worker executes against and publishes to.
 /// `parent_span` carries the leader connection's `serve.request` span id
 /// across the queue so the worker's execution spans attach to the
 /// request that scheduled them; `enqueued_ns` is the push timestamp the
 /// worker turns into a retroactive `serve.queue_wait` span.
 struct Job {
-    key: u64,
     slot: Arc<Slot>,
     parent_span: Option<u64>,
     enqueued_ns: u64,
@@ -392,7 +390,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let payload = executed.unwrap_or_else(|_| {
             wire::error_payload(500, "internal error: request execution panicked")
         });
-        shared.coalescer.publish(job.key, &job.slot, payload);
+        shared.coalescer.publish(&job.slot, payload);
     }
 }
 
@@ -501,8 +499,7 @@ fn handle_post(request: &Request, endpoint: &'static str, shared: &Arc<Shared>) 
         });
     }
 
-    let key = crate::coalesce::fingerprint(endpoint, &request.body);
-    let (payload, coalesced) = match shared.coalescer.claim(key, endpoint, &request.body) {
+    let (payload, coalesced) = match shared.coalescer.claim(endpoint, &request.body) {
         Claim::Follower(slot) => {
             // ORDER: Relaxed — liveness tally.
             shared.stats.coalesced_hits.fetch_add(1, Ordering::Relaxed);
@@ -510,7 +507,6 @@ fn handle_post(request: &Request, endpoint: &'static str, shared: &Arc<Shared>) 
                 telemetry.counter("serve.coalesced").incr();
                 telemetry.emit(FairnessEvent::RequestCoalesced {
                     tenant: tenant.to_owned(),
-                    fingerprint: key,
                 });
             }
             let t_wait = telemetry.now_ns();
@@ -526,7 +522,6 @@ fn handle_post(request: &Request, endpoint: &'static str, shared: &Arc<Shared>) 
         }
         Claim::Leader(slot) => {
             let push = shared.queue.try_push(Job {
-                key,
                 slot: Arc::clone(&slot),
                 parent_span: request_span_id,
                 enqueued_ns: telemetry.now_ns(),
@@ -534,7 +529,6 @@ fn handle_post(request: &Request, endpoint: &'static str, shared: &Arc<Shared>) 
             let payload = match push {
                 Ok(_) => slot.wait(),
                 Err(PushError::Full) => shared.coalescer.publish(
-                    key,
                     &slot,
                     Payload {
                         status: 429,
@@ -544,7 +538,6 @@ fn handle_post(request: &Request, endpoint: &'static str, shared: &Arc<Shared>) 
                     },
                 ),
                 Err(PushError::Closed) => shared.coalescer.publish(
-                    key,
                     &slot,
                     Payload {
                         status: 503,
@@ -681,9 +674,9 @@ fn metrics(shared: &Arc<Shared>) -> Payload {
     }
     s.push('}');
     s.push_str(",\"slo\":{\"objective_ms\":");
-    wire::push_f64(&mut s, shared.slo.config().objective_ms);
+    push_f64(&mut s, shared.slo.config().objective_ms);
     s.push_str(",\"error_budget\":");
-    wire::push_f64(&mut s, shared.slo.config().error_budget);
+    push_f64(&mut s, shared.slo.config().error_budget);
     s.push_str(",\"tenants\":{");
     for (i, t) in shared.slo.snapshot().iter().enumerate() {
         if i > 0 {
@@ -691,7 +684,7 @@ fn metrics(shared: &Arc<Shared>) -> Payload {
         }
         push_str_lit(&mut s, &t.tenant);
         let _ = write!(s, ":{{\"good\":{},\"bad\":{},\"burn_rate\":", t.good, t.bad);
-        wire::push_f64(&mut s, t.burn_rate);
+        push_f64(&mut s, t.burn_rate);
         let _ = write!(s, ",\"in_breach\":{}}}", t.in_breach);
     }
     s.push_str("}}}");

@@ -29,21 +29,12 @@
 //! ```
 
 use fairbridge_engine::{AuditSpec, Engine};
-use fairbridge_obs::json::{parse, push_str_lit, Value};
+use fairbridge_obs::json::{parse, push_f64, push_str_lit, Value};
 use fairbridge_obs::Telemetry;
 use fairbridge_tabular::{Dataset, Role};
 use std::fmt::Write as _;
 
 use crate::http::Payload;
-
-/// Appends an `f64` as a JSON number, or `null` when not finite.
-pub fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
-    }
-}
 
 /// The deterministic error payload: `{"error": "<msg>"}`.
 pub fn error_payload(status: u16, msg: &str) -> Payload {

@@ -543,6 +543,41 @@ fn nesting_bomb_is_a_400_and_the_daemon_stays_up() {
     handle.drain();
 }
 
+/// Sends `GET /healthz` with `lines` header lines on a fresh
+/// connection and returns the response.
+fn healthz_with_header_lines(addr: &str, lines: usize) -> fairbridge_serve::Response {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut head = String::from("GET /healthz HTTP/1.1\r\nConnection: close\r\n");
+    for i in 1..lines {
+        let _ = write!(head, "X-Pad-{i}: {i}\r\n");
+    }
+    head.push_str("\r\n");
+    stream.write_all(head.as_bytes()).expect("write head");
+    fairbridge_serve::http::read_response(&mut BufReader::new(stream)).expect("response")
+}
+
+#[test]
+fn header_lines_past_the_cap_are_a_400_and_the_daemon_stays_up() {
+    let (handle, _telemetry) = start_server(1, 4);
+    let addr = handle.addr().to_string();
+
+    assert_eq!(healthz_with_header_lines(&addr, 64).status, 200);
+    let resp = healthz_with_header_lines(&addr, 65);
+    assert_eq!(resp.status, 400);
+    let body = String::from_utf8_lossy(&resp.body);
+    assert!(body.contains("more than 64 header lines"), "{body}");
+
+    let (mut stream, mut reader) = load::connect(&addr).expect("connect");
+    let health =
+        load::request_on(&mut stream, &mut reader, "GET", "/healthz", "ops", b"").expect("healthz");
+    assert_eq!(health.status, 200);
+
+    handle.drain();
+}
+
 #[test]
 fn healthz_and_unknown_routes() {
     let (handle, _telemetry) = start_server(1, 4);

@@ -18,9 +18,9 @@
 //! * `scan_ns` — the `engine.audit` subtree: partition, scan, merge,
 //!   finalize;
 //! * `serialize_ns` — `serve.serialize`, rendering the response body;
-//! * `other_ns` — the residual: admission bookkeeping, fingerprinting,
-//!   response publication, scheduler gaps. Computed as wall minus the
-//!   rest, so the six buckets always sum to the wall time exactly.
+//! * `other_ns` — the residual: admission bookkeeping, the coalescer
+//!   claim, response publication, scheduler gaps. Computed as wall minus
+//!   the rest, so the six buckets always sum to the wall time exactly.
 //!
 //! Stage spans are disjoint by construction (sequential stages of one
 //! request), so summing them never double-counts; the walk also stops

@@ -84,22 +84,24 @@ fn audit_emits_the_expected_event_sequence() {
     assert_eq!(total_rows, n);
 
     // The first audit misses the partition cache, the second hits it —
-    // on the same fingerprint.
+    // served by the entry the miss built.
     let cache: Vec<(&str, u64)> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::Fairness(FairnessEvent::PartitionCacheMiss { fingerprint }) => {
-                Some(("miss", *fingerprint))
+            EventKind::Fairness(FairnessEvent::PartitionCacheMiss { entry }) => {
+                Some(("miss", *entry))
             }
-            EventKind::Fairness(FairnessEvent::PartitionCacheHit { fingerprint }) => {
-                Some(("hit", *fingerprint))
+            EventKind::Fairness(FairnessEvent::PartitionCacheHit { entry }) => {
+                Some(("hit", *entry))
             }
             _ => None,
         })
         .collect();
-    assert_eq!(cache.len(), 2);
-    assert_eq!((cache[0].0, cache[1].0), ("miss", "hit"));
-    assert_eq!(cache[0].1, cache[1].1, "same dataset, same fingerprint");
+    assert_eq!(
+        cache,
+        [("miss", 1), ("hit", 1)],
+        "the hit names the entry the miss built"
+    );
 }
 
 #[test]
