@@ -3,11 +3,14 @@
 //! [`Engine::audit`] produces the same [`AuditReport`] as
 //! [`AuditPipeline::run`], but computes the Section III group metrics by
 //! fanning contiguous row shards out over scoped threads. Each shard
-//! fills its own [`GroupAccumulator`]; the shards are merged **in shard
-//! index order**, so the merged counts — and therefore every metric —
-//! are identical for any thread count (the counts are integers, and the
-//! finalize divides once per group in sorted key order, exactly like the
-//! sequential path).
+//! fills its own [`GroupAccumulator`] through
+//! [`GroupAccumulator::observe_rows`] over the cached [`GroupIndex`] —
+//! the same counting loop the sequential reference
+//! ([`GroupAccumulator::from_outcomes`]) runs over every row at once.
+//! The shards are merged **in shard index order**, so the merged counts —
+//! and therefore every metric — are identical for any thread count (the
+//! counts are integers, and the finalize divides once per group in sorted
+//! key order, exactly like the sequential path).
 //!
 //! Shard boundaries depend only on the row count and the configured
 //! shard size, never on the number of workers: determinism is structural,
@@ -24,12 +27,12 @@
 //! telemetry the instrumentation costs one branch per record point.
 
 use crate::error::EngineError;
-use crate::partition::{CacheStats, Partition, PartitionCache};
+use crate::partition::{CacheStats, PartitionCache};
 use fairbridge_audit::{AuditConfig, AuditPipeline, AuditReport};
 use fairbridge_metrics::{from_accumulator, GroupAccumulator};
 use fairbridge_obs::{FairnessEvent, Telemetry};
 use fairbridge_tabular::par::{ordered_parallel_map, size_aware_workers};
-use fairbridge_tabular::Dataset;
+use fairbridge_tabular::{Dataset, GroupIndex};
 use std::sync::Arc;
 
 /// Execution parameters of the [`Engine`].
@@ -133,22 +136,14 @@ impl Engine {
     }
 
     /// The partition for `(ds, protected)` — cached, building on first
-    /// use. Exposed so callers can drive [`Engine::accumulate`] directly
-    /// (e.g. to time the scan without the non-metric pipeline stages).
+    /// use, with hit/miss telemetry. Exposed so callers can drive
+    /// [`Engine::accumulate`] directly (e.g. to time the scan without the
+    /// non-metric pipeline stages).
     pub fn partition(
         &self,
         ds: &Dataset,
         protected: &[&str],
-    ) -> Result<Arc<Partition>, EngineError> {
-        self.partition_traced(ds, protected)
-    }
-
-    /// Cache lookup plus hit/miss telemetry.
-    fn partition_traced(
-        &self,
-        ds: &Dataset,
-        protected: &[&str],
-    ) -> Result<Arc<Partition>, EngineError> {
+    ) -> Result<Arc<GroupIndex>, EngineError> {
         let _span = self.telemetry.span("engine.partition");
         let lookup = self.cache.fetch(ds, protected)?;
         if self.telemetry.is_enabled() {
@@ -186,22 +181,19 @@ impl Engine {
             self.telemetry.counter("engine.audits").incr();
         }
         let protected: Vec<&str> = spec.protected.iter().map(String::as_str).collect();
-        let partition = self.partition_traced(ds, &protected)?;
+        let partition = self.partition(ds, &protected)?;
 
         // Bind outcomes the way the sequential pipeline does: auditing
         // historical labels treats them as the decisions (and leaves no
         // ground truth), auditing predictions attaches labels if present.
-        let (decisions, labels): (Vec<bool>, Option<Vec<bool>>) = if spec.use_labels {
-            (ds.labels()?.to_vec(), None)
+        let (decisions, labels) = if spec.use_labels {
+            (ds.labels()?, None)
         } else {
-            (
-                ds.predictions()?.to_vec(),
-                ds.labels().ok().map(<[bool]>::to_vec),
-            )
+            (ds.predictions()?, ds.labels().ok())
         };
 
         let t_scan = self.telemetry.now_ns();
-        let acc = self.accumulate(&partition, &decisions, labels.as_deref())?;
+        let acc = self.accumulate(&partition, decisions, labels)?;
         if self.telemetry.is_enabled() {
             // The scan-phase duration as a histogram, not just spans:
             // the serving layer's latency decomposition reads this back
@@ -223,16 +215,18 @@ impl Engine {
             let _span = self.telemetry.span("engine.support_stages");
             AuditPipeline::new(spec.config.clone())
                 .with_telemetry(self.telemetry.clone())
-                .support_stages(ds, &protected, &decisions)?
+                .support_stages(ds, &protected, decisions)?
         };
         Ok(stages.into_report(metrics))
     }
 
     /// Scans `decisions` (and optional `labels`) into one merged
-    /// accumulator by fanning shards out over scoped worker threads.
+    /// accumulator over `partition`'s groups by fanning shards out over
+    /// scoped worker threads. A partition with no rows has no groups, and
+    /// the result is then an accumulator with no groups.
     pub fn accumulate(
         &self,
-        partition: &Arc<Partition>,
+        partition: &GroupIndex,
         decisions: &[bool],
         labels: Option<&[bool]>,
     ) -> Result<GroupAccumulator, EngineError> {
@@ -253,7 +247,6 @@ impl Engine {
                 });
             }
         }
-        let has_labels = labels.is_some();
         let shard_size = self.config.shard_size.max(1);
         let n_shards = n.div_ceil(shard_size).max(1);
         // Size-aware dispatch: one unit ≈ one row observed. Small
@@ -277,15 +270,7 @@ impl Engine {
                 .add(n_shards as u64);
         }
 
-        let fill = |acc: &mut GroupAccumulator, range: std::ops::Range<usize>| {
-            for row in range {
-                acc.observe(
-                    partition.group_of(row),
-                    decisions[row],
-                    labels.map(|l| l[row]),
-                );
-            }
-        };
+        let empty = || GroupAccumulator::for_groups(partition, labels.is_some());
         // Worker-side per-shard scan with the optional `shard_scanned`
         // record; the event is attributed to the coordinator's scan span.
         let scan_shard = |s: usize, acc: &mut GroupAccumulator| {
@@ -296,7 +281,7 @@ impl Engine {
                 // `Instant::now()`: audit code stays free of wall-clock
                 // reads (fb-lint rule D3) and pays nothing when disabled.
                 let t0 = self.telemetry.now_ns();
-                fill(acc, start..end);
+                acc.observe_rows(partition, start..end, decisions, labels);
                 self.telemetry.emit_in_span(
                     scan_span_id,
                     FairnessEvent::ShardScanned {
@@ -306,12 +291,12 @@ impl Engine {
                     },
                 );
             } else {
-                fill(acc, start..end);
+                acc.observe_rows(partition, start..end, decisions, labels);
             }
         };
 
         if workers <= 1 {
-            let mut acc = partition.empty_accumulator(has_labels);
+            let mut acc = empty();
             for s in 0..n_shards {
                 scan_shard(s, &mut acc);
             }
@@ -327,14 +312,14 @@ impl Engine {
         // happens on this thread in ascending shard order — the shared
         // deterministic fan-out, same as the subgroup lattice.
         let shard_accs = ordered_parallel_map(n_shards, workers, |s| {
-            let mut acc = partition.empty_accumulator(has_labels);
+            let mut acc = empty();
             scan_shard(s, &mut acc);
             acc
         });
         drop(scan_span);
 
         let _merge_span = self.telemetry.span("engine.merge");
-        let mut merged = partition.empty_accumulator(has_labels);
+        let mut merged = empty();
         for acc in &shard_accs {
             merged.merge(acc)?;
         }

@@ -12,15 +12,16 @@
 //!   per-shard [`GroupAccumulator`]s in deterministic shard order and
 //!   finalizes the exact same `AuditReport` the sequential
 //!   `fairbridge-audit` pipeline produces — bitwise-identical metric gaps
-//!   for any thread count. A [`PartitionCache`] memoizes the row → group
-//!   map per protected set and protected columns, compared exactly;
+//!   for any thread count. A [`PartitionCache`] memoizes the protected
+//!   columns' `GroupIndex` per protected set and protected columns,
+//!   compared exactly;
 //! * [`monitor`] — [`StreamingMonitor`] ingests live decision events into
 //!   tumbling windowed accumulators and flags drift when windowed
 //!   disparity stays across a threshold in consecutive windows — the
 //!   runtime counterpart to the paper's Section IV.D feedback-loop
 //!   warning;
-//! * [`partition`] — the shared row-addressable group partition behind a
-//!   bounded, LRU-evicting, statistics-counting [`PartitionCache`];
+//! * [`partition`] — a bounded, LRU-evicting, statistics-counting
+//!   [`PartitionCache`] of row-addressable `GroupIndex`es;
 //! * [`error`] — the typed [`EngineError`] every fallible engine entry
 //!   point returns.
 //!
@@ -47,4 +48,4 @@ pub use error::EngineError;
 pub use executor::{AuditSpec, Engine, EngineConfig};
 pub use fairbridge_metrics::{from_accumulator, GroupAccumulator, GroupCounts};
 pub use monitor::{MonitorConfig, MonitorSnapshot, StreamingMonitor, WindowSummary};
-pub use partition::{CacheLookup, CacheStats, Partition, PartitionCache, DEFAULT_CACHE_CAPACITY};
+pub use partition::{CacheLookup, CacheStats, PartitionCache, DEFAULT_CACHE_CAPACITY};

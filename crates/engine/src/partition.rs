@@ -1,14 +1,11 @@
-//! Group partitions and the partition cache.
+//! The partition cache.
 //!
-//! Sharded execution needs a *row → group* map rather than the
-//! *group → rows* map that [`GroupIndex`] materializes: a shard walks a
-//! contiguous row range and must resolve each row's group in O(1).
-//! [`Partition`] inverts the index once (preserving the sorted key order
-//! every metric iterates in), and [`PartitionCache`] memoizes partitions
-//! so repeated audits of the same dataset skip the `GroupIndex` build.
+//! Sharded execution resolves each row's group in O(1) through
+//! [`GroupIndex::group_of`], and [`PartitionCache`] memoizes the
+//! [`GroupIndex`] so repeated audits of the same dataset skip its build.
 //! An entry is identified by its content: a hit is served only when the
 //! protected names and columns (levels and codes) equal the ones the
-//! partition was built from, so no other dataset can ever receive it
+//! index was built from, so no other dataset can ever receive it
 //! (or, in the daemon, another tenant's level names).
 //!
 //! The cache is **bounded**: at most `capacity` partitions are retained,
@@ -17,66 +14,14 @@
 //! snapshot the telemetry layer relies on.
 
 use crate::error::EngineError;
-use fairbridge_metrics::GroupAccumulator;
-use fairbridge_tabular::{Column, Dataset, GroupIndex, GroupKey, GroupSpec};
+use fairbridge_tabular::{Column, Dataset, GroupIndex, GroupSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// A row-addressable group partition: sorted keys plus a dense
-/// `row → group-id` map (ids index into [`Partition::keys`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Partition {
-    keys: Vec<GroupKey>,
-    row_groups: Vec<u32>,
-}
-
-impl Partition {
-    /// Builds the partition for the intersection of `protected` columns.
-    pub fn build(ds: &Dataset, protected: &[&str]) -> Result<Partition, EngineError> {
-        let spec = GroupSpec::intersection(protected.to_vec());
-        let index = GroupIndex::build(ds, &spec)?;
-        let keys: Vec<GroupKey> = index.iter().map(|(k, _)| k.clone()).collect();
-        let mut row_groups = vec![0u32; index.n_rows()];
-        for (gid, (_, rows)) in index.iter().enumerate() {
-            for &r in rows {
-                row_groups[r] = gid as u32;
-            }
-        }
-        Ok(Partition { keys, row_groups })
-    }
-
-    /// The group keys, sorted (the order metrics iterate in).
-    pub fn keys(&self) -> &[GroupKey] {
-        &self.keys
-    }
-
-    /// Number of groups.
-    pub fn n_groups(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Number of rows in the partitioned dataset.
-    pub fn n_rows(&self) -> usize {
-        self.row_groups.len()
-    }
-
-    /// The group id of a row (index into [`Partition::keys`]).
-    pub fn group_of(&self, row: usize) -> usize {
-        self.row_groups[row] as usize
-    }
-
-    /// An empty accumulator structurally compatible with this partition.
-    pub fn empty_accumulator(&self, has_labels: bool) -> GroupAccumulator {
-        GroupAccumulator::with_keys(self.keys.clone(), has_labels)
-            // fb-lint: allow(P1): keys come from GroupIndex — sorted and unique by construction
-            .expect("partition keys are sorted and unique")
-    }
-}
 
 /// The outcome of one cache lookup, as the telemetry layer records it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheLookup {
     /// The partition (served or freshly built).
-    pub partition: Arc<Partition>,
+    pub partition: Arc<GroupIndex>,
     /// Whether the cache already held it.
     pub hit: bool,
     /// Insert sequence number (1-based) of the entry that served the
@@ -119,7 +64,7 @@ struct CacheEntry {
     /// The protected columns the partition was built from, in
     /// `protected` order.
     columns: Vec<Column>,
-    partition: Arc<Partition>,
+    partition: Arc<GroupIndex>,
     /// Insert sequence number, reported as [`CacheLookup::entry`].
     seq: u64,
     last_used: u64,
@@ -128,7 +73,7 @@ struct CacheEntry {
 impl CacheEntry {
     /// Whether this entry was built from exactly `columns` under the
     /// names `protected`. Only categorical and boolean columns reach the
-    /// cache (`Partition::build` rejects numeric ones), so derived
+    /// cache (`GroupIndex::build` rejects numeric ones), so derived
     /// equality is exact, and a mismatch stops at the first differing
     /// element.
     fn built_from(&self, protected: &[&str], columns: &[&Column]) -> bool {
@@ -178,7 +123,7 @@ impl CacheState {
     }
 }
 
-/// A thread-safe, bounded, LRU-evicting memo of [`Partition`]s,
+/// A thread-safe, bounded, LRU-evicting memo of [`GroupIndex`]es,
 /// identified by the protected-attribute names and columns they were
 /// built from.
 ///
@@ -245,7 +190,8 @@ impl PartitionCache {
         };
         // Build outside the lock: partition construction is the
         // expensive part and must not serialize other lookups.
-        let built = Arc::new(Partition::build(ds, protected)?);
+        let spec = GroupSpec::intersection(protected.to_vec());
+        let built = Arc::new(GroupIndex::build(ds, &spec)?);
         let mut state = self.state();
         state.misses += 1;
         // A racing builder may have inserted meanwhile; keep the first.
@@ -285,7 +231,7 @@ impl PartitionCache {
         &self,
         ds: &Dataset,
         protected: &[&str],
-    ) -> Result<Arc<Partition>, EngineError> {
+    ) -> Result<Arc<GroupIndex>, EngineError> {
         self.fetch(ds, protected).map(|lookup| lookup.partition)
     }
 
@@ -316,7 +262,7 @@ impl PartitionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairbridge_tabular::Role;
+    use fairbridge_tabular::{GroupKey, Role};
 
     fn sample() -> Dataset {
         Dataset::builder()
@@ -353,13 +299,16 @@ mod tests {
     #[test]
     fn partition_inverts_the_group_index() {
         let ds = sample();
-        let p = Partition::build(&ds, &["sex"]).unwrap();
+        let p = PartitionCache::new().get_or_build(&ds, &["sex"]).unwrap();
         assert_eq!(p.n_groups(), 2);
         assert_eq!(p.n_rows(), 6);
         // keys are sorted: "female" < "male"
         assert_eq!(p.keys()[0], GroupKey(vec!["female".into()]));
         for (row, expected) in [(0, 1), (1, 0), (2, 1), (3, 0), (4, 0), (5, 1)] {
             assert_eq!(p.group_of(row), expected, "row {row}");
+        }
+        for (g, (_, rows)) in p.iter().enumerate() {
+            assert!(rows.iter().all(|&r| p.group_of(r) == g));
         }
     }
 
@@ -412,7 +361,7 @@ mod tests {
         let other = protected(vec!["tenant-b-x", "tenant-b-y"], vec![1, 1, 0, 1, 0, 0]);
         // Differs from `first` only in its last protected code.
         let last_code = protected(vec!["male", "female"], vec![0, 1, 0, 1, 1, 1]);
-        let own = |ds: &Dataset| Partition::build(ds, &["sex"]).unwrap();
+        let own = |ds: &Dataset| GroupIndex::build(ds, &GroupSpec::single("sex")).unwrap();
         let a = cache.fetch(&first, &["sex"]).unwrap();
         for (ds, entry) in [(&other, 2), (&last_code, 3)] {
             let b = cache.fetch(ds, &["sex"]).unwrap();

@@ -19,7 +19,8 @@
 use crate::definition::Definition;
 use crate::outcome::{GapSummary, Outcomes, RateStat};
 use crate::report::{FairnessReport, MetricLine};
-use fairbridge_tabular::GroupKey;
+use fairbridge_tabular::{GroupIndex, GroupKey};
+use std::ops::Range;
 
 /// Sufficient statistics for one protected group.
 ///
@@ -96,10 +97,10 @@ pub struct GroupAccumulator {
 }
 
 impl GroupAccumulator {
-    /// Creates an empty accumulator over `keys` (must be sorted and
-    /// unique — the order [`GroupIndex`](fairbridge_tabular::GroupIndex)
-    /// iterates in, which is what makes finalization order-identical to
-    /// the sequential path).
+    /// Creates an empty accumulator over caller-supplied `keys` (the
+    /// streaming monitor's): they must be non-empty, sorted and unique —
+    /// the order [`GroupIndex`] iterates in, which is what makes
+    /// finalization order-identical to the sequential path.
     pub fn with_keys(keys: Vec<GroupKey>, has_labels: bool) -> Result<GroupAccumulator, String> {
         if keys.is_empty() {
             return Err("accumulator needs at least one group key".to_owned());
@@ -115,25 +116,43 @@ impl GroupAccumulator {
         })
     }
 
+    /// Creates an empty accumulator over `groups`' keys, which are sorted
+    /// and unique by construction; an index with no rows has no groups.
+    pub fn for_groups(groups: &GroupIndex, has_labels: bool) -> GroupAccumulator {
+        GroupAccumulator {
+            keys: groups.keys().to_vec(),
+            counts: vec![GroupCounts::default(); groups.n_groups()],
+            has_labels,
+        }
+    }
+
+    /// Observes `rows` of a dataset partitioned by `groups` (this
+    /// accumulator's key source): each row's decision, plus its label
+    /// when `labels` is given. The one counting loop behind the
+    /// sequential reference and every shard of the sharded engine.
+    pub fn observe_rows(
+        &mut self,
+        groups: &GroupIndex,
+        rows: Range<usize>,
+        decisions: &[bool],
+        labels: Option<&[bool]>,
+    ) {
+        for row in rows {
+            self.observe(groups.group_of(row), decisions[row], labels.map(|l| l[row]));
+        }
+    }
+
     /// Builds an accumulator by a single sequential pass over an outcome
     /// view — the reference the sharded path must reproduce.
     pub fn from_outcomes(outcomes: &Outcomes) -> GroupAccumulator {
-        let keys: Vec<GroupKey> = outcomes.groups.keys().into_iter().cloned().collect();
-        let has_labels = outcomes.labels.is_some();
-        // GroupIndex keys are sorted and unique by construction; an
-        // empty index degrades to an accumulator with no groups.
-        let counts = vec![GroupCounts::default(); keys.len()];
-        let mut acc = GroupAccumulator {
-            keys,
-            counts,
-            has_labels,
-        };
-        for (gid, (_, rows)) in outcomes.iter_groups().enumerate() {
-            for &i in rows {
-                let label = outcomes.labels.as_ref().map(|l| l[i]);
-                acc.observe(gid, outcomes.predictions[i], label);
-            }
-        }
+        let labels = outcomes.labels.as_deref();
+        let mut acc = GroupAccumulator::for_groups(&outcomes.groups, labels.is_some());
+        acc.observe_rows(
+            &outcomes.groups,
+            0..outcomes.n(),
+            &outcomes.predictions,
+            labels,
+        );
         acc
     }
 
@@ -510,7 +529,7 @@ mod tests {
     #[test]
     fn merge_of_split_equals_whole() {
         let o = sample_outcomes(true);
-        let keys: Vec<GroupKey> = o.groups.keys().into_iter().cloned().collect();
+        let keys: Vec<GroupKey> = o.groups.keys().to_vec();
         let row_group = |i: usize| usize::from(i >= 10); // codes above
         let labels = o.labels.clone().unwrap();
 

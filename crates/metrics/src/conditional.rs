@@ -83,15 +83,7 @@ fn conditional_parity_over(
     let group_index = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
         .map_err(|e| e.to_string())?;
 
-    // Precompute each row's protected-group key index for fast stratified
-    // bucketing.
-    let group_keys: Vec<&GroupKey> = group_index.keys();
-    let mut row_group = vec![usize::MAX; ds.n_rows()];
-    for (gi, (_, rows)) in group_index.iter().enumerate() {
-        for &r in rows {
-            row_group[r] = gi;
-        }
-    }
+    let group_keys = group_index.keys();
 
     let mut strata = Vec::new();
     let mut worst_gap = f64::NAN;
@@ -100,7 +92,7 @@ fn conditional_parity_over(
         // Partition the stratum's rows by protected group.
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); group_keys.len()];
         for &r in stratum_rows {
-            buckets[row_group[r]].push(r);
+            buckets[group_index.group_of(r)].push(r);
         }
         let rates: Vec<RateStat> = group_keys
             .iter()

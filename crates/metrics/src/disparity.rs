@@ -114,19 +114,13 @@ pub fn conditional_demographic_disparity(
         .map_err(|e| e.to_string())?;
     let group_index = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
         .map_err(|e| e.to_string())?;
-    let group_keys: Vec<&GroupKey> = group_index.keys();
-    let mut row_group = vec![usize::MAX; ds.n_rows()];
-    for (gi, (_, rows)) in group_index.iter().enumerate() {
-        for &r in rows {
-            row_group[r] = gi;
-        }
-    }
+    let group_keys = group_index.keys();
 
     let mut strata = Vec::new();
     for (stratum_key, stratum_rows) in strata_index.iter() {
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); group_keys.len()];
         for &r in stratum_rows {
-            buckets[row_group[r]].push(r);
+            buckets[group_index.group_of(r)].push(r);
         }
         let groups = group_keys
             .iter()

@@ -543,6 +543,31 @@ fn nesting_bomb_is_a_400_and_the_daemon_stays_up() {
     handle.drain();
 }
 
+#[test]
+fn zero_row_audit_is_answered_and_the_daemon_stays_up() {
+    let (handle, _telemetry) = start_server(1, 4);
+    let addr = handle.addr().to_string();
+
+    let body = concat!(
+        "{\"dataset\":{\"columns\":[",
+        "{\"name\":\"group\",\"type\":\"categorical\",\"role\":\"protected\",",
+        "\"levels\":[\"a\",\"b\"],\"codes\":[]},",
+        "{\"name\":\"outcome\",\"type\":\"boolean\",\"role\":\"label\",\"values\":[]},",
+        "{\"name\":\"pred\",\"type\":\"boolean\",\"role\":\"prediction\",\"values\":[]},",
+        "{\"name\":\"score\",\"type\":\"numeric\",\"role\":\"feature\",\"values\":[]}",
+        "]},\"protected\":[\"group\"],\"use_labels\":true}"
+    );
+    let resp = post_audit(&addr, "empty", body);
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+
+    let (mut stream, mut reader) = load::connect(&addr).expect("connect");
+    let health =
+        load::request_on(&mut stream, &mut reader, "GET", "/healthz", "ops", b"").expect("healthz");
+    assert_eq!(health.status, 200);
+
+    handle.drain();
+}
+
 /// Sends `GET /healthz` with `lines` header lines on a fresh
 /// connection and returns the response.
 fn healthz_with_header_lines(addr: &str, lines: usize) -> fairbridge_serve::Response {

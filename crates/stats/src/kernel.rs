@@ -305,17 +305,6 @@ pub fn sum_fused(a: &[f64]) -> f64 {
     (((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))) + tail
 }
 
-/// Scalar reference sum (one accumulator, strict left-to-right). The
-/// baseline [`sum`] is tolerance-checked against.
-#[inline]
-pub fn sum_scalar(a: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for x in a {
-        acc += x;
-    }
-    acc
-}
-
 /// Scalar reference dot product (one accumulator, strict left-to-right
 /// summation). The baseline for `bench_kernels` and tolerance
 /// cross-checks; hot paths use the dispatching [`dot`].
@@ -353,6 +342,16 @@ pub fn axpy_fused(alpha: f64, x: &[f64], y: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scalar reference sum (one accumulator, strict left-to-right). The
+    /// baseline [`sum`] is tolerance-checked against.
+    fn sum_scalar(a: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for x in a {
+            acc += x;
+        }
+        acc
+    }
 
     #[test]
     fn fused_dot_matches_scalar_within_rounding() {

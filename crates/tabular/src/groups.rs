@@ -3,12 +3,14 @@
 //! Group fairness metrics compare outcome statistics across the groups
 //! induced by one or more protected attributes; intersectional auditing
 //! (paper Section IV.C) needs groups induced by *combinations* of
-//! attributes. [`GroupIndex`] materializes those partitions once so metric
-//! code can iterate over `(key, row-indices)` pairs.
+//! attributes. [`GroupIndex`] is the one grouping primitive: built once,
+//! it lets metric code iterate over `(key, row-indices)` pairs and lets a
+//! row scan resolve each row's group in O(1) through
+//! [`GroupIndex::group_of`].
 
+use crate::column::Column;
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which columns to group by.
@@ -51,12 +53,75 @@ impl fmt::Display for GroupKey {
     }
 }
 
-/// A partition of dataset rows into groups.
-#[derive(Debug, Clone)]
+/// A partition of dataset rows into groups: sorted keys, a dense
+/// `row → group id` map (ids index into [`GroupIndex::keys`]) and every
+/// group's rows, ascending, in one offset-addressed buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupIndex {
-    spec: GroupSpec,
-    groups: BTreeMap<GroupKey, Vec<usize>>,
-    n_rows: usize,
+    keys: Vec<GroupKey>,
+    row_groups: Vec<u32>,
+    /// Group `g`'s rows are `rows[starts[g]..starts[g + 1]]`.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+/// One grouping column, borrowed from the dataset: its codes, each
+/// code's rank among the column's sorted distinct level names, and those
+/// names.
+enum Ranked<'a> {
+    Categorical {
+        codes: &'a [u32],
+        ranks: Vec<u32>,
+        names: Vec<&'a str>,
+    },
+    /// A boolean ranks as itself: `false` < `true`.
+    Boolean(&'a [bool]),
+}
+
+impl<'a> Ranked<'a> {
+    fn new(name: &str, column: &'a Column) -> Result<Ranked<'a>> {
+        match column {
+            Column::Categorical { levels, codes } => {
+                // Equal names share a rank, so a dictionary that repeats
+                // a level name merges those codes into one group.
+                let mut order: Vec<usize> = (0..levels.len()).collect();
+                order.sort_by_key(|&code| &levels[code]);
+                let mut ranks = vec![0u32; levels.len()];
+                let mut names: Vec<&str> = Vec::new();
+                for code in order {
+                    if names.last() != Some(&levels[code].as_str()) {
+                        names.push(&levels[code]);
+                    }
+                    ranks[code] = (names.len() - 1) as u32;
+                }
+                Ok(Ranked::Categorical {
+                    codes,
+                    ranks,
+                    names,
+                })
+            }
+            Column::Boolean(values) => Ok(Ranked::Boolean(values)),
+            Column::Numeric(_) => Err(Error::TypeMismatch {
+                column: name.to_owned(),
+                expected: "categorical or boolean",
+                actual: "numeric",
+            }),
+        }
+    }
+
+    fn rank(&self, row: usize) -> u32 {
+        match self {
+            Ranked::Categorical { codes, ranks, .. } => ranks[codes[row] as usize],
+            Ranked::Boolean(values) => u32::from(values[row]),
+        }
+    }
+
+    fn names(&self) -> &[&'a str] {
+        match self {
+            Ranked::Categorical { names, .. } => names,
+            Ranked::Boolean(_) => &["false", "true"],
+        }
+    }
 }
 
 impl GroupIndex {
@@ -64,121 +129,121 @@ impl GroupIndex {
     ///
     /// Boolean columns are treated as two-level categoricals with levels
     /// `"false"` and `"true"`. Numeric columns are rejected — bin them first.
+    ///
+    /// Rows are ordered by a stable LSD counting sort on each column's
+    /// level-name ranks, last column first, so the sorted rows run group
+    /// by group in [`GroupKey`] order with rows ascending inside each
+    /// group. That costs O(columns · (rows + levels)): no table is ever
+    /// sized by the product of the columns' level counts.
     pub fn build(ds: &Dataset, spec: &GroupSpec) -> Result<GroupIndex> {
         if spec.columns.is_empty() {
             return Err(Error::Invalid(
                 "group spec must name at least one column".into(),
             ));
         }
-        // Per-column (levels, codes) views.
-        let mut views: Vec<(Vec<String>, Vec<u32>)> = Vec::with_capacity(spec.columns.len());
-        for name in &spec.columns {
-            let col = ds.column(name)?;
-            match col {
-                crate::column::Column::Categorical { levels, codes } => {
-                    views.push((levels.clone(), codes.clone()));
-                }
-                crate::column::Column::Boolean(v) => {
-                    let levels = vec!["false".to_owned(), "true".to_owned()];
-                    let codes = v.iter().map(|&b| u32::from(b)).collect();
-                    views.push((levels, codes));
-                }
-                crate::column::Column::Numeric(_) => {
-                    return Err(Error::TypeMismatch {
-                        column: name.clone(),
-                        expected: "categorical or boolean",
-                        actual: "numeric",
-                    });
-                }
+        let columns = spec
+            .columns
+            .iter()
+            .map(|name| Ranked::new(name, ds.column(name)?))
+            .collect::<Result<Vec<_>>>()?;
+        let n = ds.n_rows();
+        let mut rows: Vec<usize> = (0..n).collect();
+        let mut sorted = vec![0usize; n];
+        for column in columns.iter().rev() {
+            let mut starts = vec![0usize; column.names().len() + 1];
+            for &row in &rows {
+                starts[column.rank(row) as usize + 1] += 1;
             }
+            for r in 1..starts.len() {
+                starts[r] += starts[r - 1];
+            }
+            for &row in &rows {
+                let slot = &mut starts[column.rank(row) as usize];
+                sorted[*slot] = row;
+                *slot += 1;
+            }
+            std::mem::swap(&mut rows, &mut sorted);
         }
-        // Bucket rows by interned codes first — the per-row key is a
-        // reused `u32` buffer looked up via `Borrow<[u32]>`, so the scan
-        // allocates only once per *distinct* group, never per row.
-        let mut code_groups: BTreeMap<Vec<u32>, Vec<usize>> = BTreeMap::new();
-        let mut key_buf = vec![0u32; views.len()];
-        for row in 0..ds.n_rows() {
-            for (slot, (_, codes)) in key_buf.iter_mut().zip(&views) {
-                *slot = codes[row];
+        // Runs of equal rank tuples are the groups, in key order.
+        let mut keys = Vec::new();
+        let mut starts = Vec::new();
+        let mut row_groups = vec![0u32; n];
+        for (i, &row) in rows.iter().enumerate() {
+            let same = i > 0 && columns.iter().all(|c| c.rank(rows[i - 1]) == c.rank(row));
+            if !same {
+                starts.push(i);
+                keys.push(GroupKey(
+                    columns
+                        .iter()
+                        .map(|c| c.names()[c.rank(row) as usize].to_owned())
+                        .collect(),
+                ));
             }
-            match code_groups.get_mut(key_buf.as_slice()) {
-                Some(rows) => rows.push(row),
-                None => {
-                    code_groups.insert(key_buf.clone(), vec![row]);
-                }
-            }
+            row_groups[row] = (keys.len() - 1) as u32;
         }
-        // Resolve level strings once per distinct group; the string-keyed
-        // map preserves the same key order as before (`GroupKey` orders
-        // lexicographically by level names). Distinct codes can share a
-        // level name if a dictionary repeats one — those groups merge,
-        // re-sorted so rows stay in ascending order as they always were.
-        let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
-        for (codes, rows) in code_groups {
-            let key = GroupKey(
-                codes
-                    .iter()
-                    .zip(&views)
-                    .map(|(&c, (levels, _))| levels[c as usize].clone())
-                    .collect(),
-            );
-            match groups.entry(key) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(rows);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let merged = e.get_mut();
-                    merged.extend(rows);
-                    merged.sort_unstable();
-                }
-            }
-        }
+        starts.push(n);
         Ok(GroupIndex {
-            spec: spec.clone(),
-            groups,
-            n_rows: ds.n_rows(),
+            keys,
+            row_groups,
+            starts,
+            rows,
         })
-    }
-
-    /// The spec this index was built from.
-    pub fn spec(&self) -> &GroupSpec {
-        &self.spec
     }
 
     /// Number of non-empty groups.
     pub fn n_groups(&self) -> usize {
-        self.groups.len()
+        self.keys.len()
     }
 
     /// Total number of rows in the underlying dataset.
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.row_groups.len()
+    }
+
+    /// The group id of `row` (its group's position in
+    /// [`GroupIndex::keys`]).
+    pub fn group_of(&self, row: usize) -> usize {
+        self.row_groups[row] as usize
+    }
+
+    /// The rows of the group with id `group`, ascending.
+    fn group_rows(&self, group: usize) -> &[usize] {
+        &self.rows[self.starts[group]..self.starts[group + 1]]
     }
 
     /// Iterates over `(key, row-indices)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &[usize])> {
-        self.groups.iter().map(|(k, v)| (k, v.as_slice()))
+        self.keys
+            .iter()
+            .enumerate()
+            .map(|(g, key)| (key, self.group_rows(g)))
     }
 
     /// The row indices of a specific group, if present.
     pub fn rows(&self, key: &GroupKey) -> Option<&[usize]> {
-        self.groups.get(key).map(Vec::as_slice)
+        let g = self.keys.binary_search(key).ok()?;
+        Some(self.group_rows(g))
     }
 
-    /// All group keys in order.
-    pub fn keys(&self) -> Vec<&GroupKey> {
-        self.groups.keys().collect()
+    /// All group keys, sorted and unique.
+    pub fn keys(&self) -> &[GroupKey] {
+        &self.keys
     }
 
     /// The size of each group in key order.
     pub fn sizes(&self) -> Vec<usize> {
-        self.groups.values().map(Vec::len).collect()
+        self.starts
+            .iter()
+            .skip(1)
+            .zip(&self.starts)
+            .map(|(end, start)| end - start)
+            .collect()
     }
 
     /// The fraction of rows in each group, in key order.
     pub fn proportions(&self) -> Vec<f64> {
-        let n = self.n_rows.max(1) as f64;
-        self.groups.values().map(|v| v.len() as f64 / n).collect()
+        let n = self.n_rows().max(1) as f64;
+        self.sizes().into_iter().map(|s| s as f64 / n).collect()
     }
 }
 

@@ -2,7 +2,8 @@
 //! workspace's deterministic PRNG (no proptest: the build is offline).
 
 use fairbridge_stats::rng::{Rng, StdRng};
-use fairbridge_tabular::{io, Column, Dataset, GroupIndex, GroupSpec, Role};
+use fairbridge_tabular::{io, Column, Dataset, GroupIndex, GroupKey, GroupSpec, Role};
+use std::collections::BTreeMap;
 
 /// A small random dataset with one categorical (protected), one numeric,
 /// one boolean label column.
@@ -51,17 +52,99 @@ fn filter_extremes() {
     }
 }
 
-/// Group sizes partition the rows exactly.
+/// A random grouping dataset: 1–4 grouping columns mixing categorical
+/// and boolean, over dictionaries that repeat level names, leave levels
+/// unused and order names unlike their codes. Case 0 mod 8 has zero rows
+/// and case 1 mod 8 has a single group. Returns the grouping columns.
+fn grouping_dataset<R: Rng>(rng: &mut R, case: usize) -> (Dataset, Vec<String>) {
+    const NAMES: [&str; 6] = ["b", "a", "c", "a", "B", "ab"];
+    let n = match case % 8 {
+        0 => 0,
+        _ => rng.gen_range(1..60usize),
+    };
+    let single = case % 8 == 1;
+    let mut builder = Dataset::builder();
+    let mut columns = Vec::new();
+    for c in 0..rng.gen_range(1..5usize) {
+        let name = format!("g{c}");
+        if rng.gen_bool(0.3) {
+            let value = rng.gen_bool(0.5);
+            let values = (0..n)
+                .map(|_| if single { value } else { rng.gen_bool(0.5) })
+                .collect();
+            builder = builder.boolean_with_role(&name, values, Role::Protected);
+        } else {
+            let levels: Vec<&str> = (0..rng.gen_range(1..7usize))
+                .map(|_| NAMES[rng.gen_range(0..NAMES.len())])
+                .collect();
+            // Draw codes from a prefix of the dictionary: the rest of
+            // the levels stay unused.
+            let used = if single {
+                1
+            } else {
+                rng.gen_range(1..levels.len() + 1)
+            };
+            let codes = (0..n).map(|_| rng.gen_range(0..used) as u32).collect();
+            builder = builder.categorical_with_role(&name, levels, codes, Role::Protected);
+        }
+        columns.push(name);
+    }
+    (builder.build().expect("valid dataset"), columns)
+}
+
+/// The original two-map build: bucket rows by their code tuple, then
+/// re-key by level names, merging (and re-sorting) groups whose codes
+/// share names.
+fn oracle_groups(ds: &Dataset, columns: &[String]) -> BTreeMap<GroupKey, Vec<usize>> {
+    let views: Vec<(Vec<String>, Vec<u32>)> = columns
+        .iter()
+        .map(|name| match ds.column(name).unwrap() {
+            Column::Categorical { levels, codes } => (levels.clone(), codes.clone()),
+            Column::Boolean(v) => (
+                vec!["false".to_owned(), "true".to_owned()],
+                v.iter().map(|&b| u32::from(b)).collect(),
+            ),
+            Column::Numeric(_) => unreachable!("grouping columns are never numeric"),
+        })
+        .collect();
+    let mut code_groups: BTreeMap<Vec<u32>, Vec<usize>> = BTreeMap::new();
+    for row in 0..ds.n_rows() {
+        let key = views.iter().map(|(_, codes)| codes[row]).collect();
+        code_groups.entry(key).or_default().push(row);
+    }
+    let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
+    for (codes, rows) in code_groups {
+        let key = GroupKey(
+            codes
+                .iter()
+                .zip(&views)
+                .map(|(&c, (levels, _))| levels[c as usize].clone())
+                .collect(),
+        );
+        let merged = groups.entry(key).or_default();
+        merged.extend(rows);
+        merged.sort_unstable();
+    }
+    groups
+}
+
+/// Group sizes partition the rows exactly, and the index agrees with the
+/// original two-map build on keys, row lists, sizes and `group_of`.
 #[test]
 fn groups_partition_rows() {
     let mut rng = StdRng::seed_from_u64(0xD5_03);
-    for _ in 0..CASES {
-        let ds = random_dataset(&mut rng);
-        let gi = GroupIndex::build(&ds, &GroupSpec::single("group")).unwrap();
+    for case in 0..CASES {
+        let (ds, columns) = grouping_dataset(&mut rng, case);
+        let gi = GroupIndex::build(&ds, &GroupSpec::intersection(columns.clone())).unwrap();
         let total: usize = gi.sizes().iter().sum();
         assert_eq!(total, ds.n_rows());
-        let prop_sum: f64 = gi.proportions().iter().sum();
-        assert!((prop_sum - 1.0).abs() < 1e-9);
+        if ds.n_rows() > 0 {
+            let prop_sum: f64 = gi.proportions().iter().sum();
+            assert!((prop_sum - 1.0).abs() < 1e-9);
+        }
+        if case % 8 == 1 {
+            assert_eq!(gi.n_groups(), 1, "case {case}");
+        }
         // every row appears exactly once
         let mut seen = vec![false; ds.n_rows()];
         for (_, rows) in gi.iter() {
@@ -71,6 +154,22 @@ fn groups_partition_rows() {
             }
         }
         assert!(seen.iter().all(|&s| s));
+
+        let oracle = oracle_groups(&ds, &columns);
+        let expected_keys: Vec<&GroupKey> = oracle.keys().collect();
+        assert_eq!(
+            gi.keys().iter().collect::<Vec<_>>(),
+            expected_keys,
+            "case {case}"
+        );
+        let expected_sizes: Vec<usize> = oracle.values().map(Vec::len).collect();
+        assert_eq!(gi.sizes(), expected_sizes, "case {case}");
+        for (g, (key, rows)) in oracle.iter().enumerate() {
+            assert_eq!(gi.rows(key), Some(rows.as_slice()), "case {case}, {key}");
+            for &r in rows {
+                assert_eq!(gi.group_of(r), g, "case {case}, row {r}");
+            }
+        }
     }
 }
 

@@ -14,7 +14,13 @@ use fairbridge::synth::intersectional::{self, IntersectionalConfig};
 /// Every shared piece of two audit reports must agree — and the metric
 /// numbers must agree *bitwise*, not just within tolerance.
 fn assert_reports_identical(seq: &AuditReport, par: &AuditReport, context: &str) {
-    assert_eq!(seq.metrics, par.metrics, "{context}: metrics differ");
+    // Debug rendering compares NaN fields (NaN != NaN under PartialEq);
+    // a zero-row audit has NaN gaps.
+    assert_eq!(
+        format!("{:?}", seq.metrics),
+        format!("{:?}", par.metrics),
+        "{context}: metrics differ"
+    );
     for (a, b) in seq.metrics.lines.iter().zip(&par.metrics.lines) {
         assert_eq!(
             a.gap.to_bits(),
@@ -28,7 +34,6 @@ fn assert_reports_identical(seq: &AuditReport, par: &AuditReport, context: &str)
         par.metrics.impact_ratio.to_bits(),
         "{context}: impact ratio bits differ"
     );
-    // Debug rendering compares NaN fields (NaN != NaN under PartialEq).
     assert_eq!(
         format!("{:?}", seq.proxies),
         format!("{:?}", par.proxies),
@@ -124,18 +129,23 @@ fn parallel_audit_matches_sequential_with_labels_and_predictions() {
         .dataset
         .with_predictions("decision", decisions)
         .unwrap();
-    let sequential = AuditPipeline::new(AuditConfig::default())
-        .run(&ds, &["sex"], false)
-        .unwrap();
-    assert_eq!(sequential.metrics.lines.len(), 6, "labels must be in play");
-    let spec = AuditSpec::new(&["sex"], false);
-    for threads in [1, 2, 8] {
-        let engine = Engine::new(EngineConfig {
-            num_threads: threads,
-            shard_size: 333, // uneven final shard
-        });
-        let parallel = engine.audit(&ds, &spec).unwrap();
-        assert_reports_identical(&sequential, &parallel, &format!("predictions/{threads}t"));
+    // A zero-row dataset has no groups; the engine must still return
+    // exactly what the pipeline returns.
+    let empty = ds.select(&[]).unwrap();
+    for (ds, name) in [(&ds, "predictions"), (&empty, "predictions/0 rows")] {
+        let sequential = AuditPipeline::new(AuditConfig::default())
+            .run(ds, &["sex"], false)
+            .unwrap();
+        assert_eq!(sequential.metrics.lines.len(), 6, "labels must be in play");
+        let spec = AuditSpec::new(&["sex"], false);
+        for threads in [1, 2, 8] {
+            let engine = Engine::new(EngineConfig {
+                num_threads: threads,
+                shard_size: 333, // uneven final shard
+            });
+            let parallel = engine.audit(ds, &spec).unwrap();
+            assert_reports_identical(&sequential, &parallel, &format!("{name}/{threads}t"));
+        }
     }
 }
 
