@@ -192,7 +192,9 @@ impl StreamingMonitor {
         self.sealed
     }
 
-    /// Ingests one decision event for the group with key `group`.
+    /// Ingests one decision event for the group with key `group`. Errs,
+    /// ingesting nothing, on an unknown group or when `label`'s presence
+    /// does not match the monitor's `has_labels`.
     pub fn ingest(
         &mut self,
         group: &GroupKey,
@@ -203,12 +205,17 @@ impl StreamingMonitor {
             .keys
             .binary_search(group)
             .map_err(|_| format!("unknown group {group}"))?;
+        self.check_labels(label.is_some())?;
         self.ingest_indexed(idx, prediction, label);
         Ok(())
     }
 
     /// Ingests one decision event by group index (position in
     /// [`StreamingMonitor::keys`]).
+    ///
+    /// # Panics
+    /// Panics if `group` is out of range or `label`'s presence does not
+    /// match the monitor's `has_labels`.
     pub fn ingest_indexed(&mut self, group: usize, prediction: bool, label: Option<bool>) {
         self.current.observe(group, prediction, label);
         self.roll();
@@ -217,7 +224,8 @@ impl StreamingMonitor {
     /// Ingests a batch of coded events, sealing windows as they fill.
     /// Codes index the constructor's level order: `levels[code]` for
     /// [`StreamingMonitor::over_levels`], `keys[code]` for
-    /// [`StreamingMonitor::new`].
+    /// [`StreamingMonitor::new`]. The whole batch is validated first, so
+    /// an `Err` leaves the monitor as it was.
     pub fn ingest_batch(
         &mut self,
         codes: &[u32],
@@ -230,14 +238,23 @@ impl StreamingMonitor {
         if labels.is_some_and(|l| l.len() != codes.len()) {
             return Err("labels and predictions differ in length".to_owned());
         }
-        for i in 0..codes.len() {
-            let g = codes[i] as usize;
-            if g >= self.code_map.len() {
-                return Err(format!("group code {g} out of range"));
-            }
-            self.ingest_indexed(self.code_map[g], predictions[i], labels.map(|l| l[i]));
+        self.check_labels(labels.is_some())?;
+        if let Some(&bad) = codes.iter().find(|&&c| c as usize >= self.code_map.len()) {
+            return Err(format!("group code {bad} out of range"));
+        }
+        for (i, &code) in codes.iter().enumerate() {
+            let label = labels.map(|l| l[i]);
+            self.ingest_indexed(self.code_map[code as usize], predictions[i], label);
         }
         Ok(())
+    }
+
+    fn check_labels(&self, present: bool) -> Result<(), String> {
+        match (present, self.has_labels) {
+            (true, false) => Err("this monitor was created without labels".to_owned()),
+            (false, true) => Err("this monitor requires a label with every event".to_owned()),
+            _ => Ok(()),
+        }
     }
 
     fn roll(&mut self) {
@@ -400,6 +417,40 @@ mod tests {
         assert_eq!(m.windows_sealed(), 1);
         assert!(m.ingest_batch(&[9], &[true], None).is_err());
         assert!(m.ingest_batch(&[0, 1], &[true], None).is_err());
+    }
+
+    #[test]
+    fn label_presence_mismatch_is_an_error_not_a_panic() {
+        let mut unlabelled = monitor(4, 2);
+        let a = GroupKey(vec!["a".into()]);
+        assert!(unlabelled.ingest(&a, true, Some(true)).is_err());
+        assert!(unlabelled
+            .ingest_batch(&[0, 1], &[true, false], Some(&[true, true]))
+            .is_err());
+        assert_eq!(unlabelled.current_fill(), 0);
+
+        let mut labelled =
+            StreamingMonitor::over_levels(&["a", "b"], true, MonitorConfig::default()).unwrap();
+        assert!(labelled.ingest(&a, true, None).is_err());
+        assert!(labelled
+            .ingest_batch(&[0, 1], &[true, false], None)
+            .is_err());
+        assert_eq!(labelled.current_fill(), 0);
+        labelled.ingest(&a, true, Some(false)).unwrap();
+        assert_eq!(labelled.current_fill(), 1);
+    }
+
+    #[test]
+    fn rejected_batch_ingests_nothing() {
+        let mut m = monitor(4, 2);
+        assert!(m
+            .ingest_batch(&[0, 1, 9], &[true, true, true], None)
+            .is_err());
+        assert_eq!(m.current_fill(), 0);
+        // A batch that would have sealed a window before its bad code
+        // seals none.
+        assert!(m.ingest_batch(&[0, 1, 0, 1, 7], &[true; 5], None).is_err());
+        assert_eq!((m.windows_sealed(), m.current_fill()), (0, 0));
     }
 
     #[test]

@@ -1,25 +1,33 @@
-//! Mergeable per-group sufficient statistics.
+//! Mergeable per-group sufficient statistics: the one counting path
+//! behind every group metric.
 //!
 //! Every Section III group definition is a ratio of *integer counts*
 //! within each protected group: selection rates (n⁺/n), true/false
 //! positive rates, precision, accuracy. [`GroupAccumulator`] carries
-//! exactly those counts — plus score sums for calibration-style
-//! monitoring — and supports an associative [`GroupAccumulator::merge`],
-//! so a dataset can be scanned in independent shards (or consumed as a
-//! stream) and finalized once.
+//! exactly those counts and supports an associative
+//! [`GroupAccumulator::merge`], so a dataset can be scanned in
+//! independent shards (or consumed as a stream) and finalized once.
 //!
-//! Finalization via [`from_accumulator`] is the one Section III report
-//! finalizer ([`FairnessReport::evaluate`] is a single accumulation pass
-//! plus this call), and it agrees **bitwise** with the per-definition
-//! functions (`demographic_parity`, `equal_opportunity`, …): the counts
-//! are integers (addition order cannot change them), the per-group rate
-//! is the same single `positives / n` division, and groups are visited
-//! in the same sorted-key order those functions use.
+//! [`GroupAccumulator::observe`] is the only per-row counting step. The
+//! per-definition functions (`demographic_parity`, `equal_opportunity`,
+//! …) count through [`GroupAccumulator::from_outcomes`], the conditional
+//! definitions (Eq. 2 and 6) through [`GroupAccumulator::per_stratum`],
+//! and each finalizes one rate view into its report type. The rate views
+//! divide `positives / n` once per group, in sorted-key order.
+//! [`from_accumulator`], the aggregate finalizer behind
+//! [`FairnessReport::evaluate`] and the sharded engine, builds those same
+//! report types and reads every [`MetricLine`] off them, so gaps and
+//! verdicts have one implementation.
 
 use crate::definition::Definition;
+use crate::disparity::DisparityReport;
+use crate::extended::GroupRateReport;
+use crate::odds::OddsReport;
+use crate::opportunity::OpportunityReport;
 use crate::outcome::{GapSummary, Outcomes, RateStat};
+use crate::parity::ParityReport;
 use crate::report::{FairnessReport, MetricLine};
-use fairbridge_tabular::{GroupIndex, GroupKey};
+use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec};
 use std::ops::Range;
 
 /// Sufficient statistics for one protected group.
@@ -28,7 +36,7 @@ use std::ops::Range;
 /// `fn = label_pos − tp`, `tn = (n − label_pos) − fp`,
 /// `correct = tp + tn`. Without labels only `n` and `pred_pos` are
 /// maintained.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupCounts {
     /// Rows observed in the group.
     pub n: u64,
@@ -40,10 +48,6 @@ pub struct GroupCounts {
     pub tp: u64,
     /// False positives (R = + ∧ Y = −).
     pub fp: u64,
-    /// Sum of scores observed in the group (0 when unscored).
-    pub score_sum: f64,
-    /// Sum of squared scores observed in the group.
-    pub score_sum_sq: f64,
 }
 
 impl GroupCounts {
@@ -54,8 +58,6 @@ impl GroupCounts {
         self.label_pos += other.label_pos;
         self.tp += other.tp;
         self.fp += other.fp;
-        self.score_sum += other.score_sum;
-        self.score_sum_sq += other.score_sum_sq;
     }
 
     /// False negatives (requires labels).
@@ -72,15 +74,6 @@ impl GroupCounts {
     pub fn correct(&self) -> u64 {
         self.tp + self.tn()
     }
-
-    /// Mean observed score, NaN when no rows.
-    pub fn score_mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.score_sum / self.n as f64
-        }
-    }
 }
 
 /// A set of per-group [`GroupCounts`] under fixed, sorted group keys.
@@ -89,7 +82,7 @@ impl GroupCounts {
 /// over different shards of the same partition are structurally
 /// compatible: [`GroupAccumulator::merge`] is then a per-group integer
 /// addition — associative and commutative-in-effect.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupAccumulator {
     keys: Vec<GroupKey>,
     counts: Vec<GroupCounts>,
@@ -128,8 +121,8 @@ impl GroupAccumulator {
 
     /// Observes `rows` of a dataset partitioned by `groups` (this
     /// accumulator's key source): each row's decision, plus its label
-    /// when `labels` is given. The one counting loop behind the
-    /// sequential reference and every shard of the sharded engine.
+    /// when `labels` is given. The counting loop behind the sequential
+    /// reference and every shard of the sharded engine.
     pub fn observe_rows(
         &mut self,
         groups: &GroupIndex,
@@ -154,6 +147,28 @@ impl GroupAccumulator {
             labels,
         );
         acc
+    }
+
+    /// Counts `decisions` per group of the `protected` columns within
+    /// each stratum of the `strata` columns of `ds`: one unlabelled
+    /// accumulator per stratum, in stratum-key order. The counting pass
+    /// behind the conditional definitions, Eq. (2) and Eq. (6).
+    pub fn per_stratum(
+        ds: &Dataset,
+        protected: &[&str],
+        strata: &[&str],
+        decisions: &[bool],
+    ) -> Result<Vec<(GroupKey, GroupAccumulator)>, String> {
+        let index = |columns: &[&str]| {
+            GroupIndex::build(ds, &GroupSpec::intersection(columns.to_vec()))
+                .map_err(|e| e.to_string())
+        };
+        let (strata, groups) = (index(strata)?, index(protected)?);
+        let mut accs = vec![GroupAccumulator::for_groups(&groups, false); strata.n_groups()];
+        for (row, &decision) in decisions.iter().enumerate() {
+            accs[strata.group_of(row)].observe(groups.group_of(row), decision, None);
+        }
+        Ok(strata.keys().iter().cloned().zip(accs).collect())
     }
 
     /// The group keys, in sorted order.
@@ -199,24 +214,9 @@ impl GroupAccumulator {
         }
     }
 
-    /// Records one scored decision (adds to the score sums as well).
-    pub fn observe_scored(
-        &mut self,
-        group: usize,
-        prediction: bool,
-        label: Option<bool>,
-        score: f64,
-    ) {
-        self.observe(group, prediction, label);
-        let c = &mut self.counts[group];
-        c.score_sum += score;
-        c.score_sum_sq += score * score;
-    }
-
     /// Merges another accumulator (built over the same keys and mode)
-    /// into this one. Integer counts make this associative; calling it in
-    /// a fixed shard order additionally makes the floating-point score
-    /// sums deterministic.
+    /// into this one: per-group integer addition, so the result does not
+    /// depend on merge order.
     pub fn merge(&mut self, other: &GroupAccumulator) -> Result<(), String> {
         if self.keys != other.keys {
             return Err("cannot merge accumulators over different group keys".to_owned());
@@ -266,6 +266,12 @@ impl GroupAccumulator {
         Ok(self.rates(|c| c.label_pos, |c| c.tp))
     }
 
+    /// Per-group false-negative rates `P(R = − | Y = +, A = a)`.
+    pub fn fnr_rates(&self) -> Result<Vec<RateStat>, String> {
+        self.require_labels("FNR")?;
+        Ok(self.rates(|c| c.label_pos, GroupCounts::fn_))
+    }
+
     /// Per-group false-positive rates `P(R = + | Y = −, A = a)`.
     pub fn fpr_rates(&self) -> Result<Vec<RateStat>, String> {
         self.require_labels("FPR")?;
@@ -281,7 +287,7 @@ impl GroupAccumulator {
     /// Per-group accuracy `P(R = Y | A = a)`.
     pub fn accuracy_rates(&self) -> Result<Vec<RateStat>, String> {
         self.require_labels("accuracy equality")?;
-        Ok(self.rates(|c| c.n, |c| c.correct()))
+        Ok(self.rates(|c| c.n, GroupCounts::correct))
     }
 
     fn require_labels(&self, what: &str) -> Result<(), String> {
@@ -293,45 +299,36 @@ impl GroupAccumulator {
     }
 }
 
-/// Finalizes an accumulator into a [`FairnessReport`]: every line's gap
-/// is bitwise the one the matching per-definition function computes over
-/// the equivalent [`Outcomes`] view.
+/// Finalizes an accumulator into a [`FairnessReport`]: every line is read
+/// off the report the matching per-definition function returns for the
+/// same counts, and the four-fifths screen off the parity report.
 pub fn from_accumulator(
     acc: &GroupAccumulator,
     tolerance: f64,
     min_group_size: usize,
 ) -> FairnessReport {
-    let mut lines = Vec::new();
-
     let selection = acc.selection_rates();
-    let dp_summary = GapSummary::from_rates(&selection, min_group_size);
-    lines.push(MetricLine {
-        definition: Definition::DemographicParity,
-        gap: dp_summary.gap,
-        fair: Some(!dp_summary.gap.is_nan() && dp_summary.gap <= tolerance),
-        detail: dp_summary
-            .min_group
-            .as_ref()
-            .map(|g| format!("least favored: {g}"))
-            .unwrap_or_default(),
-    });
-
-    // Demographic disparity (Eq. 5): strict `rate > 0.5` per group; an
-    // undefined (NaN) rate counts as unfair, exactly like the direct path.
-    let n_unfair = selection
-        .iter()
-        .filter(|r| r.rate.partial_cmp(&0.5) != Some(std::cmp::Ordering::Greater))
-        .count();
-    lines.push(MetricLine {
-        definition: Definition::DemographicDisparity,
-        gap: n_unfair as f64,
-        fair: Some(n_unfair == 0),
-        detail: if n_unfair > 0 {
-            format!("{n_unfair} group(s) receive more rejections than acceptances")
-        } else {
-            String::new()
-        },
-    });
+    let parity = ParityReport::from_rates(selection.clone(), min_group_size);
+    let disparity = DisparityReport::from_rates(selection);
+    let n_unfair = disparity.unfair_groups().len();
+    let mut lines = vec![
+        line(
+            Definition::DemographicParity,
+            parity.summary.gap,
+            parity.is_fair(tolerance),
+            least("least favored", &parity.summary),
+        ),
+        line(
+            Definition::DemographicDisparity,
+            n_unfair as f64,
+            disparity.is_fair(),
+            if n_unfair > 0 {
+                format!("{n_unfair} group(s) receive more rejections than acceptances")
+            } else {
+                String::new()
+            },
+        ),
+    ];
 
     if let (Ok(tpr), Ok(fpr), Ok(ppv), Ok(accuracy)) = (
         acc.tpr_rates(),
@@ -339,59 +336,66 @@ pub fn from_accumulator(
         acc.ppv_rates(),
         acc.accuracy_rates(),
     ) {
-        let eo_summary = GapSummary::from_rates(&tpr, min_group_size);
-        lines.push(MetricLine {
-            definition: Definition::EqualOpportunity,
-            gap: eo_summary.gap,
-            fair: Some(!eo_summary.gap.is_nan() && eo_summary.gap <= tolerance),
-            detail: eo_summary
-                .min_group
-                .as_ref()
-                .map(|g| format!("lowest TPR: {g}"))
-                .unwrap_or_default(),
-        });
-
-        let fpr_summary = GapSummary::from_rates(&fpr, min_group_size);
-        let worst_gap = match (eo_summary.gap.is_nan(), fpr_summary.gap.is_nan()) {
-            (true, true) => f64::NAN,
-            (true, false) => fpr_summary.gap,
-            (false, true) => eo_summary.gap,
-            (false, false) => eo_summary.gap.max(fpr_summary.gap),
-        };
-        lines.push(MetricLine {
-            definition: Definition::EqualizedOdds,
-            gap: worst_gap,
-            fair: Some(!worst_gap.is_nan() && worst_gap <= tolerance),
-            detail: format!(
-                "TPR gap {:.3}, FPR gap {:.3}",
-                eo_summary.gap, fpr_summary.gap
+        let opportunity = OpportunityReport::from_rates(tpr.clone(), min_group_size);
+        let odds = OddsReport::from_rates(tpr, fpr, min_group_size);
+        let precision = GroupRateReport::from_rates(ppv, min_group_size);
+        let accuracy = GroupRateReport::from_rates(accuracy, min_group_size);
+        lines.extend([
+            line(
+                Definition::EqualOpportunity,
+                opportunity.summary.gap,
+                opportunity.is_fair(tolerance),
+                least("lowest TPR", &opportunity.summary),
             ),
-        });
-
-        let pp_summary = GapSummary::from_rates(&ppv, min_group_size);
-        lines.push(MetricLine {
-            definition: Definition::PredictiveParity,
-            gap: pp_summary.gap,
-            fair: Some(!pp_summary.gap.is_nan() && pp_summary.gap <= tolerance),
-            detail: String::new(),
-        });
-
-        let ae_summary = GapSummary::from_rates(&accuracy, min_group_size);
-        lines.push(MetricLine {
-            definition: Definition::AccuracyEquality,
-            gap: ae_summary.gap,
-            fair: Some(!ae_summary.gap.is_nan() && ae_summary.gap <= tolerance),
-            detail: String::new(),
-        });
+            line(
+                Definition::EqualizedOdds,
+                odds.worst_gap(),
+                odds.is_fair(tolerance),
+                format!(
+                    "TPR gap {:.3}, FPR gap {:.3}",
+                    odds.tpr_summary.gap, odds.fpr_summary.gap
+                ),
+            ),
+            line(
+                Definition::PredictiveParity,
+                precision.summary.gap,
+                precision.is_fair(tolerance),
+                String::new(),
+            ),
+            line(
+                Definition::AccuracyEquality,
+                accuracy.summary.gap,
+                accuracy.is_fair(tolerance),
+                String::new(),
+            ),
+        ]);
     }
 
-    let ratio = dp_summary.ratio;
+    let screen = parity.disparate_impact(0.8);
     FairnessReport {
         lines,
         tolerance,
-        impact_ratio: ratio,
-        four_fifths_passes: !ratio.is_nan() && ratio >= 0.8,
+        impact_ratio: screen.impact_ratio,
+        four_fifths_passes: screen.passes,
     }
+}
+
+fn line(definition: Definition, gap: f64, fair: bool, detail: String) -> MetricLine {
+    MetricLine {
+        definition,
+        gap,
+        fair: Some(fair),
+        detail,
+    }
+}
+
+/// `"<label>: <least favored group>"`, empty when no group qualifies.
+fn least(label: &str, summary: &GapSummary) -> String {
+    summary
+        .min_group
+        .as_ref()
+        .map(|g| format!("{label}: {g}"))
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -446,82 +450,26 @@ mod tests {
         assert_eq!((b.n, b.pred_pos, b.tp, b.fp), (10, 2, 2, 0));
     }
 
-    /// The per-definition functions scan group row lists on their own,
-    /// so they are an oracle independent of the accumulator.
+    /// The aggregate report, line by line with its detail strings and
+    /// the four-fifths screen, against the row-list oracle: with and
+    /// without labels, and with `min_group_size` 11 excluding both
+    /// 10-row groups (NaN gaps).
     #[test]
     fn report_is_bitwise_identical_to_direct_evaluation() {
-        use crate::disparity::demographic_disparity;
-        use crate::extended::{accuracy_equality, predictive_parity};
-        use crate::odds::equalized_odds;
-        use crate::opportunity::equal_opportunity;
-        use crate::parity::{demographic_parity, four_fifths};
-
         let tol = 0.05;
-        // min_group_size 11 excludes both 10-row groups: NaN gaps.
         for min in [0, 11] {
             for with_labels in [false, true] {
                 let o = sample_outcomes(with_labels);
+                let want = crate::oracle::expected_report(&o, tol, min);
+                let context = format!("labels {with_labels}, min {min}");
                 let report = from_accumulator(&GroupAccumulator::from_outcomes(&o), tol, min);
-                let dp = demographic_parity(&o, min);
-                let dd = demographic_disparity(&o);
-                let mut expected = vec![
-                    (
-                        Definition::DemographicParity,
-                        dp.summary.gap,
-                        dp.is_fair(tol),
-                    ),
-                    (
-                        Definition::DemographicDisparity,
-                        dd.unfair_groups().len() as f64,
-                        dd.is_fair(),
-                    ),
-                ];
-                if with_labels {
-                    let eo = equal_opportunity(&o, min).unwrap();
-                    let odds = equalized_odds(&o, min).unwrap();
-                    let pp = predictive_parity(&o, min).unwrap();
-                    let ae = accuracy_equality(&o, min).unwrap();
-                    expected.extend([
-                        (
-                            Definition::EqualOpportunity,
-                            eo.summary.gap,
-                            eo.is_fair(tol),
-                        ),
-                        (
-                            Definition::EqualizedOdds,
-                            odds.worst_gap(),
-                            odds.is_fair(tol),
-                        ),
-                        (
-                            Definition::PredictiveParity,
-                            pp.summary.gap,
-                            pp.is_fair(tol),
-                        ),
-                        (
-                            Definition::AccuracyEquality,
-                            ae.summary.gap,
-                            ae.is_fair(tol),
-                        ),
-                    ]);
-                }
-                let got: Vec<_> = report
-                    .lines
-                    .iter()
-                    .map(|l| (l.definition, l.gap.to_bits(), l.fair))
-                    .collect();
-                let want: Vec<_> = expected
-                    .into_iter()
-                    .map(|(d, gap, fair)| (d, gap.to_bits(), Some(fair)))
-                    .collect();
-                assert_eq!(got, want, "labels {with_labels}, min {min}");
-                let ff = four_fifths(&o, min);
-                assert_eq!(report.impact_ratio.to_bits(), ff.impact_ratio.to_bits());
-                assert_eq!(report.four_fifths_passes, ff.passes);
-                // Debug, not PartialEq: NaN gaps are unequal to themselves.
-                assert_eq!(
-                    format!("{:?}", FairnessReport::evaluate(&o, tol, min)),
-                    format!("{report:?}")
+                crate::oracle::assert_same(&report, &want, &context);
+                crate::oracle::assert_same(
+                    &FairnessReport::evaluate(&o, tol, min),
+                    &want,
+                    &context,
                 );
+                assert_eq!(report.lines.len(), if with_labels { 6 } else { 2 });
             }
         }
     }
@@ -559,17 +507,6 @@ mod tests {
         assert!(a.merge(&b).is_err());
         let c = GroupAccumulator::with_keys(vec![key("a")], true).unwrap();
         assert!(a.merge(&c).is_err());
-    }
-
-    #[test]
-    fn scored_observations_accumulate_sums() {
-        let mut acc = GroupAccumulator::with_keys(vec![key("a")], false).unwrap();
-        acc.observe_scored(0, true, None, 0.5);
-        acc.observe_scored(0, false, None, 0.25);
-        let c = &acc.counts()[0];
-        assert!((c.score_sum - 0.75).abs() < 1e-12);
-        assert!((c.score_sum_sq - 0.3125).abs() < 1e-12);
-        assert!((c.score_mean() - 0.375).abs() < 1e-12);
     }
 
     #[test]

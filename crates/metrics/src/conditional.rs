@@ -6,9 +6,9 @@
 //! account": the audit conditions on strata of one or more legitimate
 //! attributes `S` and demands parity inside every stratum.
 
-use crate::outcome::{GapSummary, Outcomes, RateStat};
+use crate::accumulator::GroupAccumulator;
 use crate::parity::ParityReport;
-use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec};
+use fairbridge_tabular::{Dataset, GroupKey};
 
 /// Per-stratum parity results.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,8 +52,8 @@ pub fn conditional_statistical_parity(
     legitimate: &[&str],
     min_group_size: usize,
 ) -> Result<ConditionalParityReport, String> {
-    let predictions = ds.predictions().map_err(|e| e.to_string())?.to_vec();
-    conditional_parity_over(ds, protected, legitimate, &predictions, min_group_size)
+    let predictions = ds.predictions().map_err(|e| e.to_string())?;
+    conditional_parity_over(ds, protected, legitimate, predictions, min_group_size)
 }
 
 /// Like [`conditional_statistical_parity`] but treats the dataset labels
@@ -64,8 +64,8 @@ pub fn conditional_parity_on_labels(
     legitimate: &[&str],
     min_group_size: usize,
 ) -> Result<ConditionalParityReport, String> {
-    let decisions = ds.labels().map_err(|e| e.to_string())?.to_vec();
-    conditional_parity_over(ds, protected, legitimate, &decisions, min_group_size)
+    let decisions = ds.labels().map_err(|e| e.to_string())?;
+    conditional_parity_over(ds, protected, legitimate, decisions, min_group_size)
 }
 
 fn conditional_parity_over(
@@ -78,41 +78,20 @@ fn conditional_parity_over(
     if legitimate.is_empty() {
         return Err("conditional parity requires at least one legitimate factor".to_owned());
     }
-    let strata_index = GroupIndex::build(ds, &GroupSpec::intersection(legitimate.to_vec()))
-        .map_err(|e| e.to_string())?;
-    let group_index = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
-        .map_err(|e| e.to_string())?;
-
-    let group_keys = group_index.keys();
-
     let mut strata = Vec::new();
     let mut worst_gap = f64::NAN;
     let mut worst_stratum = None;
-    for (stratum_key, stratum_rows) in strata_index.iter() {
-        // Partition the stratum's rows by protected group.
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); group_keys.len()];
-        for &r in stratum_rows {
-            buckets[group_index.group_of(r)].push(r);
-        }
-        let rates: Vec<RateStat> = group_keys
-            .iter()
-            .zip(&buckets)
-            .map(|(key, rows)| RateStat::over_rows(key, rows, |i| decisions[i]))
-            .collect();
-        let summary = GapSummary::from_rates(&rates, min_group_size);
-        let skipped = rates.iter().filter(|r| r.n < min_group_size).count();
-        if !summary.gap.is_nan() && (worst_gap.is_nan() || summary.gap > worst_gap) {
-            worst_gap = summary.gap;
-            worst_stratum = Some(stratum_key.clone());
+    for (stratum, acc) in GroupAccumulator::per_stratum(ds, protected, legitimate, decisions)? {
+        let parity = ParityReport::from_rates(acc.selection_rates(), min_group_size);
+        let gap = parity.summary.gap;
+        if !gap.is_nan() && (worst_gap.is_nan() || gap > worst_gap) {
+            worst_gap = gap;
+            worst_stratum = Some(stratum.clone());
         }
         strata.push(StratumReport {
-            stratum: stratum_key.clone(),
-            n: stratum_rows.len(),
-            parity: ParityReport {
-                rates,
-                summary,
-                skipped_small_groups: skipped,
-            },
+            stratum,
+            n: acc.total() as usize,
+            parity,
         });
     }
     Ok(ConditionalParityReport {
@@ -122,40 +101,10 @@ fn conditional_parity_over(
     })
 }
 
-/// Raw-slice variant used by benches: one legitimate factor given as codes.
-pub fn conditional_parity_slices(
-    outcomes: &Outcomes,
-    stratum_codes: &[u32],
-    n_strata: usize,
-    min_group_size: usize,
-) -> Vec<(u32, GapSummary)> {
-    assert_eq!(
-        stratum_codes.len(),
-        outcomes.n(),
-        "stratum codes length mismatch"
-    );
-    let preds = &outcomes.predictions;
-    (0..n_strata as u32)
-        .map(|s| {
-            let rates: Vec<RateStat> = outcomes
-                .iter_groups()
-                .map(|(key, rows)| {
-                    RateStat::over_conditioned_rows(
-                        key,
-                        rows,
-                        |i| stratum_codes[i] == s,
-                        |i| preds[i],
-                    )
-                })
-                .collect();
-            (s, GapSummary::from_rates(&rates, min_group_size))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::Outcomes;
     use fairbridge_tabular::Role;
 
     /// The paper's III.B example: 20 male applicants (10 young), 10 female
@@ -275,26 +224,5 @@ mod tests {
     fn requires_a_legitimate_factor() {
         let ds = paper_example(3);
         assert!(conditional_parity_on_labels(&ds, &["sex"], &[], 0).is_err());
-    }
-
-    #[test]
-    fn slice_variant_matches_dataset_variant() {
-        let ds = paper_example(2);
-        let o = Outcomes::from_labels_as_decisions(&ds, &["sex"]).unwrap();
-        let young = ds.boolean("young").unwrap();
-        let codes: Vec<u32> = young.iter().map(|&b| u32::from(b)).collect();
-        let by_slices = conditional_parity_slices(&o, &codes, 2, 0);
-        let by_ds = conditional_parity_on_labels(&ds, &["sex"], &["young"], 0).unwrap();
-        // stratum "true" is code 1 in slices, key "true" in ds variant
-        let slice_gap = by_slices.iter().find(|(s, _)| *s == 1).unwrap().1.gap;
-        let ds_gap = by_ds
-            .strata
-            .iter()
-            .find(|s| s.stratum.levels()[0] == "true")
-            .unwrap()
-            .parity
-            .summary
-            .gap;
-        assert!((slice_gap - ds_gap).abs() < 1e-12);
     }
 }

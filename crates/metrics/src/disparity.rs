@@ -9,8 +9,9 @@
 //! ∀ a ∈ A, ∀ s ∈ S — the same check within each stratum of a legitimate
 //! factor (the paper's five-jobs example).
 
+use crate::accumulator::GroupAccumulator;
 use crate::outcome::{Outcomes, RateStat};
-use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec};
+use fairbridge_tabular::{Dataset, GroupKey};
 
 /// Verdict for one group under demographic disparity.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +30,19 @@ pub struct DisparityReport {
 }
 
 impl DisparityReport {
+    /// Applies Eq. (5)'s strict `rate > 0.5` to each group's selection
+    /// rate; an undefined (NaN) rate fails.
+    pub fn from_rates(rates: Vec<RateStat>) -> DisparityReport {
+        let groups = rates
+            .into_iter()
+            .map(|stat| GroupDisparity {
+                fair: stat.rate > 0.5,
+                stat,
+            })
+            .collect();
+        DisparityReport { groups }
+    }
+
     /// Whether every group receives more acceptances than rejections.
     pub fn is_fair(&self) -> bool {
         self.groups.iter().all(|g| g.fair)
@@ -46,18 +60,7 @@ impl DisparityReport {
 
 /// Computes demographic disparity (Eq. 5): strict `>` as in the paper.
 pub fn demographic_disparity(outcomes: &Outcomes) -> DisparityReport {
-    let preds = &outcomes.predictions;
-    let groups = outcomes
-        .iter_groups()
-        .map(|(key, rows)| {
-            let stat = RateStat::over_rows(key, rows, |i| preds[i]);
-            GroupDisparity {
-                fair: stat.rate > 0.5,
-                stat,
-            }
-        })
-        .collect();
-    DisparityReport { groups }
+    DisparityReport::from_rates(GroupAccumulator::from_outcomes(outcomes).selection_rates())
 }
 
 /// One stratum's verdicts under conditional demographic disparity.
@@ -105,40 +108,28 @@ pub fn conditional_demographic_disparity(
     if strata_cols.is_empty() {
         return Err("conditional disparity requires at least one stratum column".to_owned());
     }
-    let decisions: Vec<bool> = if use_labels_as_decisions {
-        ds.labels().map_err(|e| e.to_string())?.to_vec()
+    let decisions = if use_labels_as_decisions {
+        ds.labels()
     } else {
-        ds.predictions().map_err(|e| e.to_string())?.to_vec()
-    };
-    let strata_index = GroupIndex::build(ds, &GroupSpec::intersection(strata_cols.to_vec()))
-        .map_err(|e| e.to_string())?;
-    let group_index = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
-        .map_err(|e| e.to_string())?;
-    let group_keys = group_index.keys();
-
-    let mut strata = Vec::new();
-    for (stratum_key, stratum_rows) in strata_index.iter() {
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); group_keys.len()];
-        for &r in stratum_rows {
-            buckets[group_index.group_of(r)].push(r);
-        }
-        let groups = group_keys
-            .iter()
-            .zip(&buckets)
-            .filter(|(_, rows)| !rows.is_empty())
-            .map(|(key, rows)| {
-                let stat = RateStat::over_rows(key, rows, |i| decisions[i]);
-                GroupDisparity {
+        ds.predictions()
+    }
+    .map_err(|e| e.to_string())?;
+    // Groups absent from a stratum get no verdict there.
+    let strata = GroupAccumulator::per_stratum(ds, protected, strata_cols, decisions)?
+        .into_iter()
+        .map(|(stratum, acc)| ConditionalDisparityStratum {
+            stratum,
+            groups: acc
+                .selection_rates()
+                .into_iter()
+                .filter(|stat| stat.n > 0)
+                .map(|stat| GroupDisparity {
                     fair: stat.rate >= 0.5,
                     stat,
-                }
-            })
-            .collect();
-        strata.push(ConditionalDisparityStratum {
-            stratum: stratum_key.clone(),
-            groups,
-        });
-    }
+                })
+                .collect(),
+        })
+        .collect();
     Ok(ConditionalDisparityReport { strata })
 }
 

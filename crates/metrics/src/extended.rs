@@ -15,16 +15,19 @@ pub struct GroupConfusions {
 
 /// Builds per-group confusion matrices (requires labels).
 pub fn group_confusions(outcomes: &Outcomes) -> Result<GroupConfusions, String> {
-    let labels = outcomes
-        .require_labels("group confusion matrices")?
-        .to_vec();
-    let preds = &outcomes.predictions;
-    let groups = outcomes
-        .iter_groups()
-        .map(|(key, rows)| {
-            let y: Vec<bool> = rows.iter().map(|&i| labels[i]).collect();
-            let r: Vec<bool> = rows.iter().map(|&i| preds[i]).collect();
-            (key.clone(), Confusion::from_predictions(&y, &r))
+    let acc = outcomes.labelled_counts("group confusion matrices")?;
+    let groups = acc
+        .keys()
+        .iter()
+        .zip(acc.counts())
+        .map(|(key, c)| {
+            let confusion = Confusion {
+                tp: c.tp,
+                fp: c.fp,
+                tn: c.tn(),
+                fn_: c.fn_(),
+            };
+            (key.clone(), confusion)
         })
         .collect();
     Ok(GroupConfusions { groups })
@@ -40,6 +43,13 @@ pub struct GroupRateReport {
 }
 
 impl GroupRateReport {
+    /// Builds the report from per-group rates, summarized over the groups
+    /// with at least `min_group_size` rows in the rate's denominator.
+    pub fn from_rates(rates: Vec<RateStat>, min_group_size: usize) -> GroupRateReport {
+        let summary = GapSummary::from_rates(&rates, min_group_size);
+        GroupRateReport { rates, summary }
+    }
+
     /// Whether rates agree within `tolerance`.
     pub fn is_fair(&self, tolerance: f64) -> bool {
         !self.summary.gap.is_nan() && self.summary.gap <= tolerance
@@ -51,28 +61,16 @@ pub fn predictive_parity(
     outcomes: &Outcomes,
     min_group_size: usize,
 ) -> Result<GroupRateReport, String> {
-    let labels = outcomes.require_labels("predictive parity")?.to_vec();
-    let preds = &outcomes.predictions;
-    let rates: Vec<RateStat> = outcomes
-        .iter_groups()
-        .map(|(key, rows)| RateStat::over_conditioned_rows(key, rows, |i| preds[i], |i| labels[i]))
-        .collect();
-    let summary = GapSummary::from_rates(&rates, min_group_size);
-    Ok(GroupRateReport { rates, summary })
+    let ppv = outcomes.labelled_counts("predictive parity")?.ppv_rates()?;
+    Ok(GroupRateReport::from_rates(ppv, min_group_size))
 }
 
 /// False-positive-rate balance: equal Pr(R = + | Y = −, A = a) per group
 /// (one half of equalized odds; legally salient in punitive settings where
 /// a false positive is the harm).
 pub fn fpr_balance(outcomes: &Outcomes, min_group_size: usize) -> Result<GroupRateReport, String> {
-    let labels = outcomes.require_labels("FPR balance")?.to_vec();
-    let preds = &outcomes.predictions;
-    let rates: Vec<RateStat> = outcomes
-        .iter_groups()
-        .map(|(key, rows)| RateStat::over_conditioned_rows(key, rows, |i| !labels[i], |i| preds[i]))
-        .collect();
-    let summary = GapSummary::from_rates(&rates, min_group_size);
-    Ok(GroupRateReport { rates, summary })
+    let fpr = outcomes.labelled_counts("FPR balance")?.fpr_rates()?;
+    Ok(GroupRateReport::from_rates(fpr, min_group_size))
 }
 
 /// Accuracy equality: equal Pr(R = Y | A = a) per group.
@@ -80,14 +78,10 @@ pub fn accuracy_equality(
     outcomes: &Outcomes,
     min_group_size: usize,
 ) -> Result<GroupRateReport, String> {
-    let labels = outcomes.require_labels("accuracy equality")?.to_vec();
-    let preds = &outcomes.predictions;
-    let rates: Vec<RateStat> = outcomes
-        .iter_groups()
-        .map(|(key, rows)| RateStat::over_rows(key, rows, |i| preds[i] == labels[i]))
-        .collect();
-    let summary = GapSummary::from_rates(&rates, min_group_size);
-    Ok(GroupRateReport { rates, summary })
+    let accuracy = outcomes
+        .labelled_counts("accuracy equality")?
+        .accuracy_rates()?;
+    Ok(GroupRateReport::from_rates(accuracy, min_group_size))
 }
 
 /// Treatment equality: the per-group ratio FN/FP, compared across groups.
@@ -149,12 +143,10 @@ pub fn calibration_within_groups(
     if scores.len() != outcomes.n() {
         return Err("scores length must match outcome count".to_owned());
     }
-    let labels = outcomes
-        .require_labels("calibration within groups")?
-        .to_vec();
+    let labels = outcomes.require_labels("calibration within groups")?;
     let mut ece = Vec::new();
     let mut worst = 0.0f64;
-    for (key, rows) in outcomes.iter_groups() {
+    for (key, rows) in outcomes.groups.iter() {
         let y: Vec<bool> = rows.iter().map(|&i| labels[i]).collect();
         let s: Vec<f64> = rows.iter().map(|&i| scores[i]).collect();
         let e = expected_calibration_error(&y, &s, n_bins);
@@ -183,9 +175,9 @@ pub fn auc_within_groups(outcomes: &Outcomes, scores: &[f64]) -> Result<GroupAuc
     if scores.len() != outcomes.n() {
         return Err("scores length must match outcome count".to_owned());
     }
-    let labels = outcomes.require_labels("per-group AUC")?.to_vec();
+    let labels = outcomes.require_labels("per-group AUC")?;
     let mut auc = Vec::new();
-    for (key, rows) in outcomes.iter_groups() {
+    for (key, rows) in outcomes.groups.iter() {
         let y: Vec<bool> = rows.iter().map(|&i| labels[i]).collect();
         let s: Vec<f64> = rows.iter().map(|&i| scores[i]).collect();
         auc.push((key.clone(), fairbridge_learn::eval::roc_auc(&y, &s)));

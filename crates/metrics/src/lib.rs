@@ -20,12 +20,21 @@
 //! binds predictions `R`, labels `Y` and the protected attribute `A` in
 //! the paper's notation, and returns a report carrying per-group rates,
 //! the worst-case gap, the disparate-impact ratio and a thresholded
-//! verdict. The [`definition::Definition`] enum carries the paper's
-//! taxonomy (equal treatment vs equal outcome, Section IV.A) used by the
-//! criteria engine in the `fairbridge` core crate.
+//! verdict. All of them count through one path: a
+//! [`GroupAccumulator`] of per-group integer counts, finalized by the
+//! report type's `from_rates` constructor. [`from_accumulator`] builds
+//! the same reports for the aggregate [`FairnessReport`], so the
+//! per-definition functions, the aggregate report and the sharded engine
+//! share one gap and verdict implementation. The
+//! [`definition::Definition`] enum carries the paper's taxonomy (equal
+//! treatment vs equal outcome, Section IV.A) used by the criteria engine
+//! in the `fairbridge` core crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+#[cfg(test)]
+extern crate self as fairbridge_metrics;
 
 pub mod accumulator;
 pub mod binned;
@@ -40,6 +49,11 @@ pub mod opportunity;
 pub mod outcome;
 pub mod parity;
 pub mod report;
+
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+/// The row-list counting oracle the equivalence tests compare against.
+mod oracle;
 
 pub use accumulator::{from_accumulator, GroupAccumulator, GroupCounts};
 pub use definition::{Definition, EqualityNotion};

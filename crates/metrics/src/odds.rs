@@ -24,6 +24,20 @@ pub struct OddsReport {
 }
 
 impl OddsReport {
+    /// Builds the report from per-group TPRs and FPRs, each summarized
+    /// over the groups with at least `min_group_size` rows in its
+    /// denominator.
+    pub fn from_rates(tpr: Vec<RateStat>, fpr: Vec<RateStat>, min_group_size: usize) -> OddsReport {
+        let tpr_summary = GapSummary::from_rates(&tpr, min_group_size);
+        let fpr_summary = GapSummary::from_rates(&fpr, min_group_size);
+        OddsReport {
+            tpr,
+            fpr,
+            tpr_summary,
+            fpr_summary,
+        }
+    }
+
     /// The binding constraint: max of the TPR gap and the FPR gap.
     pub fn worst_gap(&self) -> f64 {
         match (self.tpr_summary.gap.is_nan(), self.fpr_summary.gap.is_nan()) {
@@ -47,24 +61,12 @@ impl OddsReport {
 /// at least that many actual positives (for TPR) or actual negatives (for
 /// FPR) to enter the respective summary.
 pub fn equalized_odds(outcomes: &Outcomes, min_group_size: usize) -> Result<OddsReport, String> {
-    let labels = outcomes.require_labels("equalized odds")?.to_vec();
-    let preds = &outcomes.predictions;
-    let tpr: Vec<RateStat> = outcomes
-        .iter_groups()
-        .map(|(key, rows)| RateStat::over_conditioned_rows(key, rows, |i| labels[i], |i| preds[i]))
-        .collect();
-    let fpr: Vec<RateStat> = outcomes
-        .iter_groups()
-        .map(|(key, rows)| RateStat::over_conditioned_rows(key, rows, |i| !labels[i], |i| preds[i]))
-        .collect();
-    let tpr_summary = GapSummary::from_rates(&tpr, min_group_size);
-    let fpr_summary = GapSummary::from_rates(&fpr, min_group_size);
-    Ok(OddsReport {
-        tpr,
-        fpr,
-        tpr_summary,
-        fpr_summary,
-    })
+    let acc = outcomes.labelled_counts("equalized odds")?;
+    Ok(OddsReport::from_rates(
+        acc.tpr_rates()?,
+        acc.fpr_rates()?,
+        min_group_size,
+    ))
 }
 
 /// Average-odds difference: mean of the TPR gap and FPR gap — a scalar

@@ -18,6 +18,13 @@ pub struct OpportunityReport {
 }
 
 impl OpportunityReport {
+    /// Builds the report from per-group rates conditioned on the actual
+    /// positives (TPRs, or FNRs for [`fnr_balance`]).
+    pub fn from_rates(tpr: Vec<RateStat>, min_group_size: usize) -> OpportunityReport {
+        let summary = GapSummary::from_rates(&tpr, min_group_size);
+        OpportunityReport { tpr, summary }
+    }
+
     /// Whether TPRs agree within `tolerance`.
     pub fn is_fair(&self, tolerance: f64) -> bool {
         !self.summary.gap.is_nan() && self.summary.gap <= tolerance
@@ -32,14 +39,8 @@ pub fn equal_opportunity(
     outcomes: &Outcomes,
     min_group_size: usize,
 ) -> Result<OpportunityReport, String> {
-    let labels = outcomes.require_labels("equal opportunity")?.to_vec();
-    let preds = &outcomes.predictions;
-    let tpr: Vec<RateStat> = outcomes
-        .iter_groups()
-        .map(|(key, rows)| RateStat::over_conditioned_rows(key, rows, |i| labels[i], |i| preds[i]))
-        .collect();
-    let summary = GapSummary::from_rates(&tpr, min_group_size);
-    Ok(OpportunityReport { tpr, summary })
+    let tpr = outcomes.labelled_counts("equal opportunity")?.tpr_rates()?;
+    Ok(OpportunityReport::from_rates(tpr, min_group_size))
 }
 
 /// False-negative-rate balance, the complement view of equal opportunity:
@@ -48,14 +49,8 @@ pub fn fnr_balance(
     outcomes: &Outcomes,
     min_group_size: usize,
 ) -> Result<OpportunityReport, String> {
-    let labels = outcomes.require_labels("FNR balance")?.to_vec();
-    let preds = &outcomes.predictions;
-    let fnr: Vec<RateStat> = outcomes
-        .iter_groups()
-        .map(|(key, rows)| RateStat::over_conditioned_rows(key, rows, |i| labels[i], |i| !preds[i]))
-        .collect();
-    let summary = GapSummary::from_rates(&fnr, min_group_size);
-    Ok(OpportunityReport { tpr: fnr, summary })
+    let fnr = outcomes.labelled_counts("FNR balance")?.fnr_rates()?;
+    Ok(OpportunityReport::from_rates(fnr, min_group_size))
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The [`Outcomes`] view: predictions `R`, labels `Y` and protected
 //! attribute `A` bound together in the paper's Section III notation.
 
+use crate::accumulator::GroupAccumulator;
 use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec};
 
 /// A resolved view over one dataset's outcome columns.
@@ -100,9 +101,11 @@ impl Outcomes {
             .ok_or_else(|| format!("{metric} requires ground-truth labels (Y)"))
     }
 
-    /// Iterates `(key, rows)` over groups.
-    pub fn iter_groups(&self) -> impl Iterator<Item = (&GroupKey, &[usize])> {
-        self.groups.iter()
+    /// This view's [`GroupAccumulator`], or an error naming `metric`
+    /// when the view has no labels.
+    pub fn labelled_counts(&self, metric: &str) -> Result<GroupAccumulator, String> {
+        self.require_labels(metric)?;
+        Ok(GroupAccumulator::from_outcomes(self))
     }
 }
 
@@ -117,43 +120,6 @@ pub struct RateStat {
     pub positives: usize,
     /// `positives / n`, `NaN` for empty groups.
     pub rate: f64,
-}
-
-impl RateStat {
-    /// Computes the rate of `predicate` over `rows`.
-    pub fn over_rows<F: Fn(usize) -> bool>(
-        group: &GroupKey,
-        rows: &[usize],
-        predicate: F,
-    ) -> RateStat {
-        let positives = rows.iter().filter(|&&i| predicate(i)).count();
-        RateStat {
-            group: group.clone(),
-            n: rows.len(),
-            positives,
-            rate: if rows.is_empty() {
-                f64::NAN
-            } else {
-                positives as f64 / rows.len() as f64
-            },
-        }
-    }
-
-    /// Computes the rate of `predicate` over the subset of `rows` passing
-    /// `condition` (the conditional definitions' denominators).
-    pub fn over_conditioned_rows<C, F>(
-        group: &GroupKey,
-        rows: &[usize],
-        condition: C,
-        predicate: F,
-    ) -> RateStat
-    where
-        C: Fn(usize) -> bool,
-        F: Fn(usize) -> bool,
-    {
-        let eligible: Vec<usize> = rows.iter().copied().filter(|&i| condition(i)).collect();
-        RateStat::over_rows(group, &eligible, predicate)
-    }
 }
 
 /// Summary of per-group rates: worst-case gap and disparate-impact ratio.
@@ -265,21 +231,28 @@ mod tests {
 
     #[test]
     fn rate_stat_computation() {
-        let key = GroupKey(vec!["g".into()]);
-        let r = RateStat::over_rows(&key, &[0, 1, 2, 3], |i| i < 3);
-        assert_eq!(r.positives, 3);
-        assert!((r.rate - 0.75).abs() < 1e-12);
-        let empty = RateStat::over_rows(&key, &[], |_| true);
-        assert!(empty.rate.is_nan());
+        // Group "a": 3 of 4 rows selected; group "b" observed no rows.
+        let keys = vec![GroupKey(vec!["a".into()]), GroupKey(vec!["b".into()])];
+        let mut acc = GroupAccumulator::with_keys(keys, false).unwrap();
+        for p in [true, true, true, false] {
+            acc.observe(0, p, None);
+        }
+        let rates = acc.selection_rates();
+        assert_eq!((rates[0].n, rates[0].positives), (4, 3));
+        assert!((rates[0].rate - 0.75).abs() < 1e-12);
+        assert!(rates[1].rate.is_nan());
     }
 
     #[test]
     fn conditioned_rate_stat() {
-        let key = GroupKey(vec!["g".into()]);
-        // condition keeps evens; predicate keeps 0
-        let r = RateStat::over_conditioned_rows(&key, &[0, 1, 2, 3], |i| i % 2 == 0, |i| i == 0);
-        assert_eq!(r.n, 2);
-        assert!((r.rate - 0.5).abs() < 1e-12);
+        // The TPR conditions on Y = +: 2 actual positives, 1 selected.
+        let mut acc = GroupAccumulator::with_keys(vec![GroupKey(vec!["g".into()])], true).unwrap();
+        for (p, y) in [(true, true), (false, true), (true, false), (false, false)] {
+            acc.observe(0, p, Some(y));
+        }
+        let tpr = &acc.tpr_rates().unwrap()[0];
+        assert_eq!((tpr.n, tpr.positives), (2, 1));
+        assert!((tpr.rate - 0.5).abs() < 1e-12);
     }
 
     #[test]

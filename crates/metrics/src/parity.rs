@@ -5,6 +5,7 @@
 //! "The proportion of each segment of a protected class should receive
 //! the positive outcome at equal rates."
 
+use crate::accumulator::GroupAccumulator;
 use crate::outcome::{GapSummary, Outcomes, RateStat};
 
 /// The demographic-parity report: per-group selection rates plus the
@@ -20,9 +21,37 @@ pub struct ParityReport {
 }
 
 impl ParityReport {
+    /// Builds the report from per-group selection rates: groups with
+    /// fewer than `min_group_size` rows stay in `rates` but are left out
+    /// of the summary.
+    pub fn from_rates(rates: Vec<RateStat>, min_group_size: usize) -> ParityReport {
+        let summary = GapSummary::from_rates(&rates, min_group_size);
+        let skipped_small_groups = rates.iter().filter(|r| r.n < min_group_size).count();
+        ParityReport {
+            rates,
+            summary,
+            skipped_small_groups,
+        }
+    }
+
     /// Whether the report satisfies parity within `tolerance` on the gap.
     pub fn is_fair(&self, tolerance: f64) -> bool {
         !self.summary.gap.is_nan() && self.summary.gap <= tolerance
+    }
+
+    /// Applies the disparate-impact screen at `threshold` (in `[0, 1]`,
+    /// else this panics) to the summary's impact ratio.
+    pub fn disparate_impact(&self, threshold: f64) -> FourFifthsVerdict {
+        assert!(
+            (0.0..=1.0).contains(&threshold),
+            "threshold must be in [0,1]"
+        );
+        let ratio = self.summary.ratio;
+        FourFifthsVerdict {
+            impact_ratio: ratio,
+            threshold,
+            passes: !ratio.is_nan() && ratio >= threshold,
+        }
     }
 }
 
@@ -53,18 +82,10 @@ impl ParityReport {
 /// assert!(report.summary.gap.abs() < 1e-12);
 /// ```
 pub fn demographic_parity(outcomes: &Outcomes, min_group_size: usize) -> ParityReport {
-    let preds = &outcomes.predictions;
-    let rates: Vec<RateStat> = outcomes
-        .iter_groups()
-        .map(|(key, rows)| RateStat::over_rows(key, rows, |i| preds[i]))
-        .collect();
-    let summary = GapSummary::from_rates(&rates, min_group_size);
-    let skipped = rates.iter().filter(|r| r.n < min_group_size).count();
-    ParityReport {
-        rates,
-        summary,
-        skipped_small_groups: skipped,
-    }
+    ParityReport::from_rates(
+        GroupAccumulator::from_outcomes(outcomes).selection_rates(),
+        min_group_size,
+    )
 }
 
 /// The four-fifths (80%) rule of the EEOC's Uniform Guidelines — the
@@ -87,17 +108,7 @@ pub fn disparate_impact(
     min_group_size: usize,
     threshold: f64,
 ) -> FourFifthsVerdict {
-    assert!(
-        (0.0..=1.0).contains(&threshold),
-        "threshold must be in [0,1]"
-    );
-    let report = demographic_parity(outcomes, min_group_size);
-    let ratio = report.summary.ratio;
-    FourFifthsVerdict {
-        impact_ratio: ratio,
-        threshold,
-        passes: !ratio.is_nan() && ratio >= threshold,
-    }
+    demographic_parity(outcomes, min_group_size).disparate_impact(threshold)
 }
 
 /// Applies the standard 80% rule.
