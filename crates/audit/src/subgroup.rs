@@ -318,7 +318,10 @@ impl SubgroupAuditor {
             decisions: &decisions_mask,
             n,
             total_pos,
-            max_depth: self.max_depth,
+            // A conjunct extends a node with a strictly later column, so
+            // no node is deeper than the column count; the clamp bounds
+            // the per-seed scratch masks without changing any finding.
+            max_depth: self.max_depth.min(views.len()),
             min_support: self.min_support,
             alpha: self.alpha,
         };

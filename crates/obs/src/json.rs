@@ -1,26 +1,32 @@
 //! The workspace's one JSON reader and string writer.
 //!
-//! [`parse`] reads the daemon's untrusted `/audit` and `/mitigate`
-//! request bodies, `fb-trace`'s telemetry trails and `fb-lint`'s
-//! baselines; [`push_str_lit`] is the matching write side that every
+//! [`Lexer`] is the reader: a pull lexer that reads scalars, walks
+//! arrays and objects through callbacks and skips any value, so a reader
+//! that knows its document's shape decodes straight into its own types.
+//! The daemon's `/audit` and `/mitigate` bodies are read that way
+//! (`fairbridge_serve::wire`). [`parse`] builds a [`Value`] tree over the
+//! same lexer, for `fb-trace`'s telemetry trails and `fb-lint`'s
+//! baselines. [`push_str_lit`] is the matching write side that every
 //! hand-rolled JSON renderer (telemetry events, wire responses, lint
 //! reports) quotes strings with. There is no external dependency.
 //!
-//! The reader is a recursive-descent parser over the full JSON grammar
-//! (objects, arrays, strings with escapes, numbers, booleans, null),
-//! with numbers read as `f64`. It is linear in the input size: a string
-//! is copied one run at a time, up to the next `"` or `\`, and is never
-//! re-scanned. Arrays and objects nest at most [`MAX_DEPTH`] levels, so
-//! a nesting bomb is an `Err`, not a stack overflow. A number of the
-//! form `-?digits(.digits)?` with at most 15 digits is read exactly as
-//! `mantissa / 10^k` (both operands exact `f64`s, so the one division is
-//! correctly rounded); every other token goes through
-//! `str::parse::<f64>`, which gives the same bits.
+//! The lexer covers the full JSON grammar (objects, arrays, strings with
+//! escapes, numbers, booleans, null), with numbers read as `f64`. It is
+//! linear in the input size: a string is copied one run at a time, up to
+//! the next `"` or `\`, and is never re-scanned; a string with no escape
+//! is borrowed from the input. Arrays and objects nest at most
+//! [`MAX_DEPTH`] levels, so a nesting bomb is an `Err`, not a stack
+//! overflow. A number of the form `-?digits(.digits)?` with at most 15
+//! digits is read exactly as `mantissa / 10^k` (both operands exact
+//! `f64`s, so the one division is correctly rounded); every other token
+//! goes through `str::parse::<f64>`, which gives the same bits.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// Deepest nesting of arrays and objects [`parse`] accepts. The wire
-/// format nests 4 levels; trails and lint baselines nest fewer.
+/// Deepest nesting of arrays and objects [`Lexer`] (and so [`parse`])
+/// accepts. The wire format nests 5 levels; trails and lint baselines
+/// nest fewer.
 pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
@@ -68,9 +74,10 @@ impl Value {
     /// The numeric payload as an integer, when exactly representable.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-                Some(*x as u64)
-            }
+            // The cast truncates and saturates, so it round-trips exactly
+            // when `x` is a non-negative integer (`-0` reads as 0); no
+            // `fract`, which is a libm call on baseline x86-64.
+            Value::Num(x) if *x <= 2f64.powi(53) && (*x as u64) as f64 == *x => Some(*x as u64),
             _ => None,
         }
     }
@@ -94,19 +101,27 @@ impl Value {
 
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
+    let mut lx = Lexer::new(input);
+    let v = value(&mut lx)?;
+    lx.finish()?;
     Ok(v)
+}
+
+/// The tree builder over [`Lexer`]: one [`Value`] per lexed value.
+fn value(lx: &mut Lexer<'_>) -> Result<Value, String> {
+    match lx.peek() {
+        Some(b'[') => {
+            let mut items = Vec::new();
+            lx.array(|lx| value(lx).map(|v| items.push(v)))?;
+            Ok(Value::Arr(items))
+        }
+        Some(b'{') => {
+            let mut members = Vec::new();
+            lx.object(|lx, key| value(lx).map(|v| members.push((key.into_owned(), v))))?;
+            Ok(Value::Obj(members))
+        }
+        _ => lx.scalar().map(Value::from),
+    }
 }
 
 /// Parses a JSON-lines document: one value per non-empty line.
@@ -161,46 +176,108 @@ const POW10: [f64; 16] = [
 /// mantissa is below `2^53` and `10^k` is exact, so the one IEEE
 /// division is correctly rounded: the same bits as `str::parse::<f64>`.
 fn exact_decimal(token: &[u8]) -> Option<f64> {
-    let (negative, digits) = match token.strip_prefix(b"-") {
-        Some(rest) => (true, rest),
-        None => (false, token),
+    let (negative, digits) = match token.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        _ => (false, token),
     };
-    let (int, frac) = match digits.iter().position(|&b| b == b'.') {
-        Some(dot) => (&digits[..dot], &digits[dot + 1..]),
-        None => (digits, &[][..]),
-    };
-    let bad_int = int.is_empty() || (int.len() > 1 && int.starts_with(b"0"));
-    let bad_frac = frac.is_empty() && int.len() != digits.len();
-    if bad_int || bad_frac || int.len() + frac.len() > 15 {
+    // 15 digits and a point at most, so the mantissa cannot overflow.
+    if digits.len() > 16 {
         return None;
     }
     let mut mantissa = 0u64;
-    for &b in int.iter().chain(frac) {
-        if !b.is_ascii_digit() {
-            return None;
+    let mut dot = None;
+    for (i, &b) in digits.iter().enumerate() {
+        match b {
+            b'0'..=b'9' => mantissa = mantissa * 10 + u64::from(b - b'0'),
+            b'.' if dot.is_none() => dot = Some(i),
+            _ => return None,
         }
-        mantissa = mantissa * 10 + u64::from(b - b'0');
     }
-    let x = mantissa as f64 / POW10[frac.len()];
+    let int = dot.unwrap_or(digits.len());
+    let frac = digits.len() - dot.map_or(int, |d| d + 1);
+    let bad_int = int == 0 || (int > 1 && digits.first() == Some(&b'0'));
+    if bad_int || (dot.is_some() && frac == 0) || int + frac > 15 {
+        return None;
+    }
+    // Dividing by 10^0 = 1 is exact, so an integer skips the division.
+    let x = match frac {
+        0 => mantissa as f64,
+        k => mantissa as f64 / POW10[k],
+    };
     Some(if negative { -x } else { x })
 }
 
-struct Parser<'a> {
+/// A JSON scalar: everything but an array or an object.
+#[derive(Debug, Clone)]
+pub enum Scalar<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (read as `f64`).
+    Num(f64),
+    /// A string; borrowed from the input when it holds no escape.
+    Str(Cow<'a, str>),
+}
+
+impl From<Scalar<'_>> for Value {
+    fn from(s: Scalar<'_>) -> Value {
+        match s {
+            Scalar::Null => Value::Null,
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Num(x) => Value::Num(x),
+            Scalar::Str(s) => Value::Str(s.into_owned()),
+        }
+    }
+}
+
+/// A pull lexer over one JSON document, for readers that know the
+/// document's shape and want no [`Value`] tree.
+///
+/// Every method skips the whitespace in front of the value it reads.
+/// [`Lexer::array`] and [`Lexer::object`] walk a container and hand each
+/// element (and member key) to a callback, which must read or
+/// [`Lexer::skip_value`] exactly one value; containers nest at most
+/// [`MAX_DEPTH`] levels. A clone is an independent cursor at the same
+/// position, so a reader can come back to a value it skipped.
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub fn new(input: &'a str) -> Lexer<'a> {
+        Lexer {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The first byte of the next value, after whitespace (`None` at the
+    /// end of the input).
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
         self.bytes.get(self.pos).copied()
+    }
+
+    /// Checks that only whitespace is left.
+    pub fn finish(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing content at byte {}", self.pos)),
+        }
     }
 
     fn expect_byte(&mut self, b: u8) -> Result<(), String> {
@@ -212,100 +289,106 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
+    /// Reads the next value, which must be a scalar.
+    pub fn scalar(&mut self) -> Result<Scalar<'a>, String> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'n') => self.literal(b"null", Scalar::Null),
+            Some(b't') => self.literal(b"true", Scalar::Bool(true)),
+            Some(b'f') => self.literal(b"false", Scalar::Bool(false)),
+            Some(b'"') => self.string().map(Scalar::Str),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Scalar::Num),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
-    /// Runs `container` one nesting level down, refusing to go past
-    /// [`MAX_DEPTH`].
-    fn nested(
+    /// Reads and discards the next value, checking its syntax.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'[') => self.array(Self::skip_value),
+            Some(b'{') => self.object(|lx, _| lx.skip_value()),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// Reads an array, calling `item` once per element.
+    pub fn array(
         &mut self,
-        container: fn(&mut Self) -> Result<Value, String>,
-    ) -> Result<Value, String> {
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.open(b'[')?;
+        let mut first = true;
+        while !self.at_close(b']', &mut first)? {
+            item(self)?;
+        }
+        Ok(())
+    }
+
+    /// Reads an object, calling `member` once per member with its key,
+    /// in input order (duplicates included).
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.open(b'{')?;
+        let mut first = true;
+        while !self.at_close(b'}', &mut first)? {
+            let key = self.string()?;
+            self.expect_byte(b':')?;
+            member(self, key)?;
+        }
+        Ok(())
+    }
+
+    /// Consumes `open` one nesting level down, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn open(&mut self, open: u8) -> Result<(), String> {
         if self.depth == MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
                 self.pos
             ));
         }
+        self.expect_byte(open)?;
         self.depth += 1;
-        let v = container(self);
-        self.depth -= 1;
-        v
+        Ok(())
     }
 
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
+    /// Before each element of an open container: `true` once `close`
+    /// ends it (consumed, one level up), otherwise `false` with the `,`
+    /// in front of every element but the first consumed.
+    fn at_close(&mut self, close: u8, first: &mut bool) -> Result<bool, String> {
+        let next = self.peek();
+        if next == Some(close) {
             self.pos += 1;
-            return Ok(Value::Arr(items));
+            self.depth -= 1;
+            return Ok(true);
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+        if !std::mem::replace(first, false) {
+            if next != Some(b',') {
+                let close = char::from(close);
+                return Err(format!("expected `,` or `{close}` at byte {}", self.pos));
             }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect_byte(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(members));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(members));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
+        Ok(false)
+    }
+
+    fn literal<const N: usize>(
+        &mut self,
+        lit: &[u8; N],
+        v: Scalar<'a>,
+    ) -> Result<Scalar<'a>, String> {
+        if self.bytes.get(self.pos..self.pos + N) == Some(lit) {
+            self.pos += N;
+            Ok(v)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect_byte(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
             // Copy the run up to the next `"` or `\`. Both are ASCII, so
             // the run ends on a char boundary of the `&str` input.
@@ -314,58 +397,71 @@ impl Parser<'_> {
                 .position(|&b| b == b'"' || b == b'\\')
                 .unwrap_or(self.bytes.len() - self.pos);
             let end = self.pos + run;
-            out.push_str(
-                self.input
-                    .get(self.pos..end)
-                    .ok_or_else(|| format!("string run off a char boundary at byte {end}"))?,
-            );
+            let text = self
+                .input
+                .get(self.pos..end)
+                .ok_or_else(|| format!("string run off a char boundary at byte {end}"))?;
+            if out.is_empty() {
+                out = Cow::Borrowed(text);
+            } else {
+                out.to_mut().push_str(text);
+            }
             self.pos = end;
-            match self.peek() {
+            match self.bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by `\uXXXX` with a low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect_byte(b'u')?;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.ok_or_else(|| "invalid \\u escape".to_owned())?);
-                            continue; // hex4 already advanced past the digits
-                        }
-                        _ => return Err(format!("invalid escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
+                    let c = self.escape()?;
+                    out.to_mut().push(c);
                 }
                 _ => return Err("unterminated string".to_owned()),
             }
         }
+    }
+
+    /// The character of the escape after a `\`.
+    fn escape(&mut self) -> Result<char, String> {
+        let c = match self.bytes.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let code = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by
+                // `\uXXXX` with a low surrogate.
+                let c = if (0xD800..0xDC00).contains(&code) {
+                    if self.bytes.get(self.pos) == Some(&b'\\') {
+                        self.pos += 1;
+                        if self.bytes.get(self.pos) != Some(&b'u') {
+                            return Err(format!("expected `u` at byte {}", self.pos));
+                        }
+                        self.pos += 1;
+                        let low = self.hex4()?;
+                        let combined =
+                            0x10000 + ((code - 0xD800) << 10) + (low.wrapping_sub(0xDC00) & 0x3FF);
+                        char::from_u32(combined)
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(code)
+                };
+                // hex4 already advanced past the digits.
+                return c.ok_or_else(|| "invalid \\u escape".to_owned());
+            }
+            _ => return Err(format!("invalid escape at byte {}", self.pos)),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -380,24 +476,20 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let token = &self.bytes[start..self.pos];
+        let rest = &self.bytes[start..];
+        let len = rest
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(rest.len());
+        self.pos += len;
+        let token = &rest[..len];
         if let Some(x) = exact_decimal(token) {
-            return Ok(Value::Num(x));
+            return Ok(x);
         }
         let s = std::str::from_utf8(token).map_err(|e| e.to_string())?;
         s.parse::<f64>()
-            .map(Value::Num)
             .map_err(|_| format!("invalid number `{s}` at byte {start}"))
     }
 }
@@ -415,6 +507,37 @@ mod tests {
         assert_eq!(arr[1], Value::Null);
         assert_eq!(arr[2].as_f64(), Some(-250.0));
         assert_eq!(v.get("c").and_then(Value::as_str), Some("x"));
+    }
+
+    #[test]
+    fn as_u64_takes_the_non_negative_integers_up_to_2_pow_53() {
+        let by_definition =
+            |x: f64| (x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53)).then_some(x as u64);
+        let p53 = 2f64.powi(53);
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            0.5,
+            -0.5,
+            -1.0,
+            1.5,
+            4294967295.0,
+            4294967296.0,
+            1e15,
+            1e300,
+            p53,
+            p53 - 1.0,
+            p53 + 2.0,
+            2f64.powi(64),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            0.999_999_999_999_999_9,
+        ] {
+            assert_eq!(Value::Num(x).as_u64(), by_definition(x), "{x}");
+        }
     }
 
     #[test]

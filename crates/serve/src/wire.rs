@@ -1,9 +1,31 @@
 //! The daemon's JSON wire format: request parsing and deterministic
 //! response rendering.
 //!
-//! Request bodies are parsed with the in-tree [`fairbridge_obs::json`]
-//! parser (the same zero-dependency machinery the telemetry checker
-//! uses). Responses are rendered by hand with a **fixed field order**,
+//! Request bodies are decoded straight into columns: a decoder for the
+//! fixed request shape pulls tokens from [`fairbridge_obs::json::Lexer`]
+//! and writes codes, booleans and numbers into the `Vec`s the
+//! [`Dataset`] builder takes, with no [`Value`] tree in between. It
+//! reads a body exactly as `obs::json::parse` followed by
+//! [`parse_dataset`] would (the oracle suite in `tests/wire_oracle.rs`
+//! holds the two to the same accept/reject verdict and the same
+//! dataset, bit for bit):
+//!
+//! - members may come in any order, and the first of a duplicate key
+//!   wins, as with [`Value::get`];
+//! - unknown members are skipped, syntax-checked and depth-bounded;
+//! - an array met before its column's `"type"` is read once the type is
+//!   known, from a cursor saved at it;
+//! - a member of the wrong type is an error, except the optional
+//!   scalars (`use_labels`, `tolerance`, `min_group_size`,
+//!   `subgroup_depth`, `technique`, a column's `role`), which fall back
+//!   to their defaults;
+//! - a syntax error anywhere in the body is the error reported.
+//!
+//! One refusal comes earlier than the builder's: a column longer than
+//! the first column stops at its first extra row, before the rest of
+//! its array is materialised.
+//!
+//! Responses are rendered by hand with a **fixed field order**,
 //! `BTreeMap`-ordered maps and the same finite-float policy as the
 //! telemetry renderer (`{x}` formatting, `null` for non-finite), so a
 //! given audit result always renders to the same bytes — the daemon's
@@ -29,9 +51,9 @@
 //! ```
 
 use fairbridge_engine::{AuditSpec, Engine};
-use fairbridge_obs::json::{parse, push_f64, push_str_lit, Value};
+use fairbridge_obs::json::{push_f64, push_str_lit, Lexer, Scalar, Value};
 use fairbridge_obs::Telemetry;
-use fairbridge_tabular::{Dataset, Role};
+use fairbridge_tabular::{Dataset, DatasetBuilder, Role};
 use std::fmt::Write as _;
 
 use crate::http::Payload;
@@ -69,7 +91,10 @@ fn arr_field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a [Value], Str
         .ok_or_else(|| format!("{what}: missing array field {key:?}"))
 }
 
-/// Builds a [`Dataset`] from the wire encoding.
+/// Builds a [`Dataset`] from the wire encoding's `dataset` member, read
+/// as a [`Value`] tree. No request path calls it: the request decoder
+/// reads bodies without a tree. It is the decoder's oracle in the test
+/// suite and the benchmark's dataset-build probe.
 pub fn parse_dataset(v: &Value) -> Result<Dataset, String> {
     let columns = arr_field(v, "columns", "dataset")?;
     if columns.is_empty() {
@@ -126,21 +151,6 @@ pub fn parse_dataset(v: &Value) -> Result<Dataset, String> {
     builder.build().map_err(|e| e.to_string())
 }
 
-fn parse_protected(v: &Value) -> Result<Vec<String>, String> {
-    let protected: Vec<String> = arr_field(v, "protected", "request")?
-        .iter()
-        .map(|p| {
-            p.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| "protected entries must be strings".to_owned())
-        })
-        .collect::<Result<_, _>>()?;
-    if protected.is_empty() {
-        return Err("request: protected must be non-empty".to_owned());
-    }
-    Ok(protected)
-}
-
 /// A parsed `POST /audit` request.
 pub struct AuditRequest {
     /// The dataset to audit.
@@ -151,23 +161,24 @@ pub struct AuditRequest {
 
 /// Parses a `POST /audit` body.
 pub fn parse_audit_request(body: &[u8]) -> Result<AuditRequest, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = parse(text)?;
-    let dataset = parse_dataset(
-        v.get("dataset")
-            .ok_or_else(|| "request: missing dataset".to_owned())?,
-    )?;
-    let protected = parse_protected(&v)?;
-    let use_labels = v.get("use_labels").and_then(Value::as_bool).unwrap_or(true);
+    let Body {
+        dataset,
+        protected,
+        options,
+    } = decode_body(body)?;
+    let use_labels = options
+        .get("use_labels")
+        .and_then(Value::as_bool)
+        .unwrap_or(true);
     let refs: Vec<&str> = protected.iter().map(String::as_str).collect();
     let mut spec = AuditSpec::new(&refs, use_labels);
-    if let Some(t) = v.get("tolerance").and_then(Value::as_f64) {
+    if let Some(t) = options.get("tolerance").and_then(Value::as_f64) {
         spec.config.tolerance = t;
     }
-    if let Some(m) = v.get("min_group_size").and_then(Value::as_u64) {
+    if let Some(m) = options.get("min_group_size").and_then(Value::as_u64) {
         spec.config.min_group_size = m as usize;
     }
-    if let Some(d) = v.get("subgroup_depth").and_then(Value::as_u64) {
+    if let Some(d) = options.get("subgroup_depth").and_then(Value::as_u64) {
         spec.config.subgroup_depth = d as usize;
     }
     Ok(AuditRequest { dataset, spec })
@@ -185,14 +196,12 @@ pub struct MitigateRequest {
 
 /// Parses a `POST /mitigate` body.
 pub fn parse_mitigate_request(body: &[u8]) -> Result<MitigateRequest, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = parse(text)?;
-    let dataset = parse_dataset(
-        v.get("dataset")
-            .ok_or_else(|| "request: missing dataset".to_owned())?,
-    )?;
-    let protected = parse_protected(&v)?;
-    let technique = v
+    let Body {
+        dataset,
+        protected,
+        options,
+    } = decode_body(body)?;
+    let technique = options
         .get("technique")
         .and_then(Value::as_str)
         .unwrap_or("reweigh")
@@ -202,6 +211,319 @@ pub fn parse_mitigate_request(body: &[u8]) -> Result<MitigateRequest, String> {
         protected,
         technique,
     })
+}
+
+/// The request members read as plain scalars; an array or object among
+/// them reads as `null`, so its default applies.
+const OPTIONS: [&str; 5] = [
+    "use_labels",
+    "tolerance",
+    "min_group_size",
+    "subgroup_depth",
+    "technique",
+];
+
+/// A decoded request body: the dataset, the protected columns, and the
+/// first occurrence of each [`OPTIONS`] member as a flat object of
+/// scalars, read with the same `Value` accessors as a parsed tree.
+struct Body {
+    dataset: Dataset,
+    protected: Vec<String>,
+    options: Value,
+}
+
+/// Decodes a request body in one pass. A syntax error anywhere in the
+/// body is the error reported, even when the decoder stopped earlier at
+/// a member of the wrong shape.
+fn decode_body(body: &[u8]) -> Result<Body, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
+    decode_request(&mut Lexer::new(text)).map_err(|e| {
+        let mut lx = Lexer::new(text);
+        lx.skip_value()
+            .and_then(|()| lx.finish())
+            .err()
+            .unwrap_or(e)
+    })
+}
+
+fn decode_request(lx: &mut Lexer<'_>) -> Result<Body, String> {
+    let missing_dataset = || "request: missing dataset".to_owned();
+    if lx.peek() != Some(b'{') {
+        return Err(missing_dataset());
+    }
+    let mut dataset = None;
+    let mut protected = None;
+    let mut options = Vec::new();
+    lx.object(|lx, key| {
+        match &*key {
+            "dataset" if dataset.is_none() => dataset = Some(decode_dataset(lx)?),
+            "protected" if protected.is_none() => {
+                let err = || "request: protected must be an array of strings".to_owned();
+                protected = Some(decode_strings(lx, err)?);
+            }
+            k if OPTIONS.contains(&k) && !options.iter().any(|(o, _)| o == k) => {
+                options.push((k.to_owned(), Value::from(scalar_or_skip(lx)?)));
+            }
+            _ => lx.skip_value()?,
+        }
+        Ok(())
+    })?;
+    lx.finish()?;
+    let dataset = dataset.ok_or_else(missing_dataset)?;
+    let protected = protected.ok_or("request: missing array field \"protected\"")?;
+    if protected.is_empty() {
+        return Err("request: protected must be non-empty".to_owned());
+    }
+    Ok(Body {
+        dataset,
+        protected,
+        options: Value::Obj(options),
+    })
+}
+
+/// The `dataset` object: its first `columns` array, each column added
+/// to one builder as it ends.
+fn decode_dataset(lx: &mut Lexer<'_>) -> Result<Dataset, String> {
+    let missing = || "dataset: missing array field \"columns\"".to_owned();
+    if lx.peek() != Some(b'{') {
+        return Err(missing());
+    }
+    let mut dataset = None;
+    lx.object(|lx, key| {
+        if key != "columns" || dataset.is_some() {
+            return lx.skip_value();
+        }
+        if lx.peek() != Some(b'[') {
+            return Err(missing());
+        }
+        let mut builder = Dataset::builder();
+        // Set by the first column's rows; every decoded column has rows.
+        let mut first_len = None;
+        lx.array(|lx| {
+            builder = decode_column(lx, std::mem::take(&mut builder), &mut first_len)?;
+            Ok(())
+        })?;
+        if first_len.is_none() {
+            return Err("dataset: columns must be non-empty".to_owned());
+        }
+        dataset = Some(builder.build().map_err(|e| e.to_string())?);
+        Ok(())
+    })?;
+    dataset.ok_or_else(missing)
+}
+
+/// A column's `type`.
+#[derive(Clone, Copy)]
+enum Kind {
+    Categorical,
+    Boolean,
+    Numeric,
+}
+
+impl Kind {
+    /// The member holding this kind's rows.
+    fn rows_key(self) -> &'static str {
+        match self {
+            Kind::Categorical => "codes",
+            Kind::Boolean | Kind::Numeric => "values",
+        }
+    }
+
+    /// Whether a column of this kind reads member `key`.
+    fn uses(self, key: &str) -> bool {
+        key == self.rows_key() || (key == "levels" && matches!(self, Kind::Categorical))
+    }
+}
+
+/// One column's rows.
+enum Rows {
+    Codes(Vec<u32>),
+    Bools(Vec<bool>),
+    Nums(Vec<f64>),
+}
+
+/// The first occurrence of each member of one column object.
+#[derive(Default)]
+struct ColumnFields {
+    name: Option<String>,
+    kind: Option<Kind>,
+    role: Option<Role>,
+    levels: Option<Vec<String>>,
+    rows: Option<Rows>,
+}
+
+impl ColumnFields {
+    /// Reads array member `key`, one that `kind` [uses](Kind::uses).
+    fn read(
+        &mut self,
+        lx: &mut Lexer<'_>,
+        kind: Kind,
+        key: &str,
+        first_len: &mut Option<usize>,
+    ) -> Result<(), String> {
+        let name = self.name.as_deref().unwrap_or_default();
+        if key == "levels" {
+            let err = || format!("column {name:?}: levels must be an array of strings");
+            self.levels = Some(decode_strings(lx, err)?);
+            return Ok(());
+        }
+        self.rows = Some(match kind {
+            Kind::Categorical => {
+                Rows::Codes(decode_rows(lx, name, first_len, "codes", |s| match s {
+                    Scalar::Num(x) => Value::Num(x).as_u64().and_then(|u| u32::try_from(u).ok()),
+                    _ => None,
+                })?)
+            }
+            Kind::Boolean => {
+                Rows::Bools(decode_rows(lx, name, first_len, "booleans", |s| match s {
+                    Scalar::Bool(b) => Some(b),
+                    _ => None,
+                })?)
+            }
+            Kind::Numeric => {
+                Rows::Nums(decode_rows(lx, name, first_len, "numbers", |s| match s {
+                    Scalar::Num(x) => Some(x),
+                    _ => None,
+                })?)
+            }
+        });
+        Ok(())
+    }
+}
+
+/// One column object, added to `builder`. Its rows stop past
+/// `first_len`, which the first column's rows set. An array member met
+/// before `type` is skipped, and read from a cursor saved at it once the
+/// type says the column uses it.
+fn decode_column(
+    lx: &mut Lexer<'_>,
+    builder: DatasetBuilder,
+    first_len: &mut Option<usize>,
+) -> Result<DatasetBuilder, String> {
+    let missing = |key: &str| format!("column: missing string field {key:?}");
+    if lx.peek() != Some(b'{') {
+        return Err(missing("name"));
+    }
+    let mut f = ColumnFields::default();
+    let mut seen = Vec::new();
+    let mut deferred = Vec::new();
+    lx.object(|lx, key| {
+        match &*key {
+            "name" if f.name.is_none() => match lx.scalar() {
+                Ok(Scalar::Str(s)) => f.name = Some(s.into_owned()),
+                _ => return Err(missing("name")),
+            },
+            "type" if f.kind.is_none() => {
+                f.kind = Some(match lx.scalar() {
+                    Ok(Scalar::Str(s)) if s == "categorical" => Kind::Categorical,
+                    Ok(Scalar::Str(s)) if s == "boolean" => Kind::Boolean,
+                    Ok(Scalar::Str(s)) if s == "numeric" => Kind::Numeric,
+                    Ok(Scalar::Str(s)) => return Err(format!("column: unknown type {s:?}")),
+                    _ => return Err(missing("type")),
+                });
+            }
+            "role" if f.role.is_none() => {
+                f.role = Some(match scalar_or_skip(lx)? {
+                    Scalar::Str(s) => parse_role(&s)?,
+                    _ => Role::Feature,
+                });
+            }
+            "levels" | "codes" | "values" if !seen.contains(&key) => {
+                seen.push(key.clone());
+                match f.kind {
+                    Some(kind) if kind.uses(&key) => f.read(lx, kind, &key, first_len)?,
+                    Some(_) => lx.skip_value()?,
+                    None => {
+                        deferred.push((key.clone(), lx.clone()));
+                        lx.skip_value()?;
+                    }
+                }
+            }
+            _ => lx.skip_value()?,
+        }
+        Ok(())
+    })?;
+    if f.name.is_none() {
+        return Err(missing("name"));
+    }
+    let kind = f.kind.ok_or_else(|| missing("type"))?;
+    for (key, mut at) in deferred {
+        if kind.uses(&key) {
+            f.read(&mut at, kind, &key, first_len)?;
+        }
+    }
+    let name = f.name.unwrap_or_default();
+    let role = f.role.unwrap_or(Role::Feature);
+    let missing_array = |key: &str| format!("column {name:?}: missing array field {key:?}");
+    Ok(match f.rows {
+        Some(Rows::Codes(codes)) => {
+            let levels = f.levels.ok_or_else(|| missing_array("levels"))?;
+            builder.categorical_with_role(&name, levels, codes, role)
+        }
+        Some(Rows::Bools(v)) => builder.boolean_with_role(&name, v, role),
+        Some(Rows::Nums(v)) => builder.numeric_with_role(&name, v, role),
+        None => return Err(missing_array(kind.rows_key())),
+    })
+}
+
+/// The next value when it is a scalar; an array or object is skipped
+/// and reads as `null`.
+fn scalar_or_skip<'a>(lx: &mut Lexer<'a>) -> Result<Scalar<'a>, String> {
+    match lx.peek() {
+        Some(b'[' | b'{') => lx.skip_value().map(|()| Scalar::Null),
+        _ => lx.scalar(),
+    }
+}
+
+/// An array of strings; any other value is the error `err()`.
+fn decode_strings(lx: &mut Lexer<'_>, err: impl Fn() -> String) -> Result<Vec<String>, String> {
+    if lx.peek() != Some(b'[') {
+        return Err(err());
+    }
+    let mut out = Vec::new();
+    lx.array(|lx| match lx.scalar() {
+        Ok(Scalar::Str(s)) => {
+            out.push(s.into_owned());
+            Ok(())
+        }
+        _ => Err(err()),
+    })?;
+    Ok(out)
+}
+
+/// An array of the `what` that `convert` accepts. The first such array
+/// sets `first_len`; a later one stops past that length, with the
+/// length mismatch `DatasetBuilder::build` would report, before the
+/// rest of it is read.
+fn decode_rows<T>(
+    lx: &mut Lexer<'_>,
+    name: &str,
+    first_len: &mut Option<usize>,
+    what: &str,
+    convert: impl Fn(Scalar<'_>) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let err = || format!("column {name:?}: rows must be an array of {what}");
+    if lx.peek() != Some(b'[') {
+        return Err(err());
+    }
+    let max = first_len.unwrap_or(usize::MAX);
+    let mut out = Vec::new();
+    lx.array(|lx| {
+        if out.len() == max {
+            return Err(format!(
+                "column `{name}` has more than {max} rows, expected {max}"
+            ));
+        }
+        match lx.scalar().ok().and_then(&convert) {
+            Some(v) => {
+                out.push(v);
+                Ok(())
+            }
+            None => Err(err()),
+        }
+    })?;
+    first_len.get_or_insert(out.len());
+    Ok(out)
 }
 
 /// Executes a `POST /audit` body against the shared engine and renders
@@ -395,6 +717,49 @@ mod tests {
             );
             assert_eq!(base, other, "{threads} engine threads drifted");
         }
+    }
+
+    /// 96 rows over two protected columns, the label skewed against one
+    /// intersection, audited with `"subgroup_depth":<depth>`.
+    fn two_column_body(depth: &str) -> String {
+        let rows = 0..96u32;
+        let join = |f: &dyn Fn(u32) -> String| rows.clone().map(f).collect::<Vec<_>>().join(",");
+        format!(
+            concat!(
+                "{{\"dataset\":{{\"columns\":[",
+                "{{\"name\":\"sex\",\"type\":\"categorical\",\"role\":\"protected\",",
+                "\"levels\":[\"m\",\"f\"],\"codes\":[{}]}},",
+                "{{\"name\":\"age\",\"type\":\"categorical\",\"role\":\"protected\",",
+                "\"levels\":[\"young\",\"old\",\"mid\"],\"codes\":[{}]}},",
+                "{{\"name\":\"hired\",\"type\":\"boolean\",\"role\":\"label\",\"values\":[{}]}}",
+                "]}},\"protected\":[\"sex\",\"age\"],\"min_group_size\":8,\"subgroup_depth\":{}}}"
+            ),
+            join(&|r| (r % 2).to_string()),
+            join(&|r| (r / 2 % 3).to_string()),
+            join(&|r| (r % 2 == 0 || r / 2 % 3 != 1 || r % 5 == 0).to_string()),
+            depth
+        )
+    }
+
+    #[test]
+    fn subgroup_depth_past_the_column_count_is_the_column_count() {
+        let engine = Engine::new(EngineConfig::default());
+        let audit = |depth: &str| {
+            let p = handle_audit(
+                &engine,
+                two_column_body(depth).as_bytes(),
+                &Telemetry::off(),
+            );
+            assert_eq!(p.status, 200, "{}", String::from_utf8_lossy(&p.body));
+            p
+        };
+        let at_column_count = audit("2");
+        let text = String::from_utf8_lossy(&at_column_count.body).into_owned();
+        assert!(text.contains("\"subgroup\":\"sex=f ∧ age=old\""), "{text}");
+        // Used to ask the lattice for 10¹² - 1 scratch masks per seed,
+        // and abort the process.
+        assert_eq!(audit("1000000000000"), at_column_count);
+        assert_eq!(audit("64"), at_column_count);
     }
 
     #[test]
