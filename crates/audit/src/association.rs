@@ -13,7 +13,7 @@
 //! landing on people who merely *look like* the protected group.
 
 use fairbridge_stats::hypothesis::{two_proportion_z, TestResult};
-use fairbridge_tabular::{Column, Dataset};
+use fairbridge_tabular::Dataset;
 
 /// The association-spillover audit result for one proxy level.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,12 +37,17 @@ pub struct AssociationFinding {
 
 /// Runs the association audit.
 ///
-/// * `protected` — categorical protected column;
+/// * `protected` — categorical or boolean protected column;
 /// * `protected_level` — the discriminated level (e.g. `"female"`);
 /// * `proxy` — the categorical/boolean feature suspected of carrying the
 ///   group signature (e.g. `"university"`);
 /// * decisions come from the label column (historical audit) unless a
 ///   prediction column is present and `use_predictions` is set.
+///
+/// Both columns are read through [`fairbridge_tabular::Column::coded`].
+/// One pass over the rows counts every (protected?, proxy level) cell and
+/// the positives per proxy level among non-protected rows; each finding
+/// is read off those counts.
 pub fn association_audit(
     ds: &Dataset,
     protected: &str,
@@ -50,76 +55,62 @@ pub fn association_audit(
     proxy: &str,
     use_predictions: bool,
 ) -> Result<Vec<AssociationFinding>, String> {
-    let decisions: Vec<bool> = if use_predictions {
-        ds.predictions().map_err(|e| e.to_string())?.to_vec()
+    let decisions = if use_predictions {
+        ds.predictions()
     } else {
-        ds.labels().map_err(|e| e.to_string())?.to_vec()
-    };
-    let (p_levels, p_codes) = ds.categorical(protected).map_err(|e| e.to_string())?;
+        ds.labels()
+    }
+    .map_err(|e| e.to_string())?;
+    let (p_levels, p_codes) = ds
+        .column(protected)
+        .and_then(|c| c.as_coded(protected))
+        .map_err(|e| e.to_string())?;
     let target = p_levels
         .iter()
         .position(|l| l == protected_level)
         .ok_or_else(|| format!("level `{protected_level}` not in `{protected}`"))?
         as u32;
-    let is_protected: Vec<bool> = p_codes.iter().map(|&c| c == target).collect();
+    let (levels, codes) = ds
+        .column(proxy)
+        .map_err(|e| e.to_string())?
+        .coded()
+        .ok_or_else(|| format!("proxy `{proxy}` is numeric; bin it first"))?;
 
-    // Proxy view as (levels, codes).
-    let col = ds.column(proxy).map_err(|e| e.to_string())?;
-    let (levels, codes): (Vec<String>, Vec<u32>) = match col {
-        Column::Categorical { levels, codes } => (levels.clone(), codes.clone()),
-        Column::Boolean(v) => (
-            vec!["false".into(), "true".into()],
-            v.iter().map(|&b| u32::from(b)).collect(),
-        ),
-        Column::Numeric(_) => return Err(format!("proxy `{proxy}` is numeric; bin it first")),
-    };
+    // Rows at each proxy level, protected and not, and the positive
+    // decisions among the non-protected rows at each level.
+    let mut prot_at = vec![0usize; levels.len()];
+    let mut rest_at = vec![0usize; levels.len()];
+    let mut rest_pos_at = vec![0usize; levels.len()];
+    for ((&p, &code), &d) in p_codes.iter().zip(codes.iter()).zip(decisions) {
+        let level = code as usize;
+        if p == target {
+            prot_at[level] += 1;
+        } else {
+            rest_at[level] += 1;
+            rest_pos_at[level] += usize::from(d);
+        }
+    }
+    let prot_total: usize = prot_at.iter().sum();
+    let rest_total: usize = rest_at.iter().sum();
+    if prot_total == 0 || rest_total == 0 {
+        return Ok(Vec::new());
+    }
+    let rest_pos: usize = rest_pos_at.iter().sum();
 
     let mut findings = Vec::new();
     for (li, level) in levels.iter().enumerate() {
         // Is this level protected-typical? (over-represented among the
         // protected group relative to the rest.)
-        let (mut prot_with, mut prot_total, mut rest_with, mut rest_total) =
-            (0usize, 0usize, 0usize, 0usize);
-        for (&code, &prot) in codes.iter().zip(&is_protected) {
-            if prot {
-                prot_total += 1;
-                if code as usize == li {
-                    prot_with += 1;
-                }
-            } else {
-                rest_total += 1;
-                if code as usize == li {
-                    rest_with += 1;
-                }
-            }
-        }
-        if prot_total == 0 || rest_total == 0 {
-            continue;
-        }
-        let prot_rate = prot_with as f64 / prot_total as f64;
-        let rest_rate = rest_with as f64 / rest_total as f64;
+        let prot_rate = prot_at[li] as f64 / prot_total as f64;
+        let rest_rate = rest_at[li] as f64 / rest_total as f64;
         if prot_rate <= rest_rate {
             continue; // not protected-typical
         }
 
         // Spillover among the NON-protected group.
-        let (mut sig_pos, mut sig_n, mut other_pos, mut other_n) = (0u64, 0u64, 0u64, 0u64);
-        for ((&code, &prot), &d) in codes.iter().zip(&is_protected).zip(&decisions) {
-            if prot {
-                continue;
-            }
-            if code as usize == li {
-                sig_n += 1;
-                if d {
-                    sig_pos += 1;
-                }
-            } else {
-                other_n += 1;
-                if d {
-                    other_pos += 1;
-                }
-            }
-        }
+        let (sig_n, sig_pos) = (rest_at[li] as u64, rest_pos_at[li] as u64);
+        let other_n = (rest_total - rest_at[li]) as u64;
+        let other_pos = (rest_pos - rest_pos_at[li]) as u64;
         if sig_n == 0 || other_n == 0 {
             continue;
         }
@@ -223,6 +214,68 @@ mod tests {
                 "unexpected spillover: {f:?}"
             );
         }
+    }
+
+    /// A 3-level proxy counted by hand. Protected (female) rows: 1 at a,
+    /// 3 at b, 2 at c. Male rows: a ×4 (3 hired), b ×2 (0 hired), c ×2
+    /// (1 hired). Shares: b 3/6 > 2/8 and c 2/6 > 2/8 are female-typical,
+    /// a 1/6 < 4/8 is not.
+    /// * b: with 0/2, without (a, c) 4/6, gap −2/3;
+    /// * c: with 1/2, without (a, b) 3/6, gap 0.
+    #[test]
+    fn three_level_proxy_counted_by_hand() {
+        let rows: [(u32, u32, bool); 14] = [
+            (1, 0, true),
+            (1, 1, false),
+            (1, 1, true),
+            (1, 1, false),
+            (1, 2, true),
+            (1, 2, false),
+            (0, 0, true),
+            (0, 0, true),
+            (0, 0, true),
+            (0, 0, false),
+            (0, 1, false),
+            (0, 1, false),
+            (0, 2, true),
+            (0, 2, false),
+        ];
+        let ds = Dataset::builder()
+            .categorical_with_role(
+                "sex",
+                vec!["male", "female"],
+                rows.iter().map(|r| r.0).collect(),
+                Role::Protected,
+            )
+            .categorical_with_role(
+                "uni",
+                vec!["a", "b", "c"],
+                rows.iter().map(|r| r.1).collect(),
+                Role::Feature,
+            )
+            .boolean_with_role("hired", rows.iter().map(|r| r.2).collect(), Role::Label)
+            .build()
+            .unwrap();
+        let findings = association_audit(&ds, "sex", "female", "uni", false).unwrap();
+        let summary: Vec<_> = findings
+            .iter()
+            .map(|f| {
+                (
+                    f.protected_typical_level.as_str(),
+                    f.n,
+                    f.rate_with_signature,
+                    f.rate_without_signature,
+                    f.spillover_gap,
+                )
+            })
+            .collect();
+        assert_eq!(
+            summary,
+            [
+                ("b", (2, 6), 0.0, 4.0 / 6.0, -(4.0 / 6.0)),
+                ("c", (2, 6), 0.5, 0.5, 0.0),
+            ]
+        );
     }
 
     #[test]

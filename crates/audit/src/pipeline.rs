@@ -278,6 +278,7 @@ mod tests {
     use fairbridge_stats::rng::StdRng;
     use fairbridge_synth::hiring::{generate, HiringConfig};
     use fairbridge_synth::intersectional::{self, IntersectionalConfig};
+    use fairbridge_tabular::{Column, Role};
 
     #[test]
     fn pipeline_flags_biased_hiring_data() {
@@ -344,6 +345,53 @@ mod tests {
         assert_eq!(rep.under_represented(0.8).len(), 1);
         assert!(report.to_string().contains("representation audit"));
         assert!(report.to_string().contains("under-represented"));
+    }
+
+    /// A boolean first protected column runs every stage, representation
+    /// included, and reports exactly what its categorical spelling
+    /// (levels `false`/`true`, codes 0/1) reports.
+    #[test]
+    fn boolean_protected_column_runs_every_stage() {
+        let mut rng = StdRng::seed_from_u64(95);
+        let data = generate(
+            &HiringConfig {
+                n: 2000,
+                ..HiringConfig::biased()
+            },
+            &mut rng,
+        );
+        let (_, sex) = data.dataset.categorical("sex").unwrap();
+        let female: Vec<bool> = sex.iter().map(|&c| c == 1).collect();
+        let codes: Vec<u32> = female.iter().map(|&b| u32::from(b)).collect();
+        let base = data.dataset.with_role("sex", Role::Ignored).unwrap();
+        let as_bool = base
+            .with_column("female", Column::Boolean(female), Role::Protected)
+            .unwrap();
+        let as_cat = base
+            .with_column(
+                "female",
+                Column::categorical_from_codes(
+                    vec!["false".into(), "true".into()],
+                    codes,
+                    "female",
+                )
+                .unwrap(),
+                Role::Protected,
+            )
+            .unwrap();
+        let config = AuditConfig {
+            population_marginals: Some(vec![0.5, 0.5]),
+            ..AuditConfig::default()
+        };
+        let run = |ds: &Dataset| {
+            AuditPipeline::new(config.clone())
+                .run(ds, &["female"], true)
+                .unwrap()
+        };
+        let report = run(&as_bool);
+        assert!(report.representation.is_some());
+        assert!(report.flagged_proxies.contains(&"university".to_owned()));
+        assert_eq!(format!("{report:?}"), format!("{:?}", run(&as_cat)));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! 1. **Association ranking** — how strongly each feature associates with
 //!    the protected attribute (Cramér's V / point-biserial / mutual
 //!    information), the paper's "height and maternity leave ... serving as
-//!    proxies for the sex sensitive attribute";
+//!    proxies for the sex sensitive attribute". The scorer lives in
+//!    [`fairbridge_stats::correlation`] and is re-exported here, so
+//!    proxy-aware suppression in `fairbridge-mitigate` ranks features
+//!    with the same code;
 //! 2. **Predictability audit** — train a classifier to *recover* the
 //!    protected attribute from the remaining features; its held-out AUC is
 //!    the leakage: 0.5 means no proxy channel, 1.0 means the feature set
@@ -20,70 +23,10 @@ use fairbridge_learn::eval::roc_auc;
 use fairbridge_learn::{EncoderConfig, FeatureEncoder, LogisticTrainer, TrainedModel};
 use fairbridge_metrics::outcome::Outcomes;
 use fairbridge_metrics::parity::demographic_parity;
-use fairbridge_stats::correlation::{
-    cramers_v, normalized_mutual_information, point_biserial, Contingency,
-};
 use fairbridge_stats::rng::Rng;
 use fairbridge_tabular::{Column, Dataset, Role};
 
-/// Association of one feature with the protected attribute.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeatureAssociation {
-    /// Feature name.
-    pub feature: String,
-    /// Cramér's V (categorical/boolean) or |point-biserial| (numeric).
-    pub association: f64,
-    /// Normalized mutual information (categorical/boolean only, else NaN).
-    pub nmi: f64,
-}
-
-/// Ranks every feature by association with the protected column.
-pub fn association_ranking(
-    ds: &Dataset,
-    protected: &str,
-) -> Result<Vec<FeatureAssociation>, String> {
-    let (p_levels, p_codes) = ds.categorical(protected).map_err(|e| e.to_string())?;
-    let k = p_levels.len();
-    let p_codes = p_codes.to_vec();
-    let mut out = Vec::new();
-    for meta in ds.schema().fields() {
-        if meta.role != Role::Feature {
-            continue;
-        }
-        let col = ds.column(&meta.name).map_err(|e| e.to_string())?;
-        let (association, nmi) = match col {
-            Column::Categorical { levels, codes } => {
-                let t = Contingency::from_codes(&p_codes, codes, k, levels.len());
-                (cramers_v(&t), normalized_mutual_information(&t))
-            }
-            Column::Boolean(values) => {
-                let codes: Vec<u32> = values.iter().map(|&b| u32::from(b)).collect();
-                let t = Contingency::from_codes(&p_codes, &codes, k, 2);
-                (cramers_v(&t), normalized_mutual_information(&t))
-            }
-            Column::Numeric(values) => {
-                let a = (0..k)
-                    .map(|level| {
-                        let ind: Vec<bool> = p_codes.iter().map(|&c| c as usize == level).collect();
-                        point_biserial(values, &ind).abs()
-                    })
-                    .fold(0.0f64, f64::max);
-                (a, f64::NAN)
-            }
-        };
-        out.push(FeatureAssociation {
-            feature: meta.name.clone(),
-            association,
-            nmi,
-        });
-    }
-    out.sort_by(|a, b| {
-        b.association
-            .partial_cmp(&a.association)
-            .expect("NaN association")
-    });
-    Ok(out)
-}
+pub use fairbridge_stats::correlation::{association_ranking, FeatureAssociation};
 
 /// Result of the predictability audit.
 #[derive(Debug, Clone)]
@@ -232,6 +175,35 @@ mod tests {
         assert_eq!(ranking[0].feature, "university");
         assert!(ranking[0].association > 0.6);
         assert!(ranking[0].nmi > 0.2);
+    }
+
+    /// The scorer's output pinned bit for bit: categorical, numeric and
+    /// boolean features of one seeded hiring dataset, in ranked order.
+    #[test]
+    fn association_ranking_bits_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let data = generate(
+            &HiringConfig {
+                n: 1500,
+                ..HiringConfig::biased()
+            },
+            &mut rng,
+        );
+        let ds = data.dataset.with_role("qualified", Role::Feature).unwrap();
+        let ranking = association_ranking(&ds, "sex").unwrap();
+        let bits: Vec<(&str, u64, u64)> = ranking
+            .iter()
+            .map(|a| (a.feature.as_str(), a.association.to_bits(), a.nmi.to_bits()))
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                ("university", 0x3fe796c7b6e0b1c0, 0x3fdd897ef3270857),
+                ("skill_score", 0x3f91b56cda7bc10f, 0x7ff8000000000000),
+                ("experience", 0x3f894403d5a547ae, 0x7ff8000000000000),
+                ("qualified", 0x3f698e3b305db6f7, 0x3ee02d4937e63067),
+            ]
+        );
     }
 
     #[test]

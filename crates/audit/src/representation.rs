@@ -71,7 +71,8 @@ impl RepresentationAudit {
 
 /// Runs the representation audit.
 ///
-/// * `protected` — categorical column to audit;
+/// * `protected` — categorical or boolean column to audit (a boolean's
+///   levels are `false`, `true`);
 /// * `population` — population marginals, one entry per level of the
 ///   column, in the column's level order (must sum to 1);
 /// * `n_bootstrap` — resamples for the TV confidence interval.
@@ -82,7 +83,10 @@ pub fn representation_audit<R: Rng>(
     n_bootstrap: usize,
     rng: &mut R,
 ) -> Result<RepresentationAudit, String> {
-    let (levels, codes) = ds.categorical(protected).map_err(|e| e.to_string())?;
+    let (levels, codes) = ds
+        .column(protected)
+        .and_then(|c| c.as_coded(protected))
+        .map_err(|e| e.to_string())?;
     if population.len() != levels.len() {
         return Err(format!(
             "population has {} entries for {} levels",
@@ -91,7 +95,7 @@ pub fn representation_audit<R: Rng>(
         ));
     }
     let pop = Discrete::new(population.to_vec()).map_err(|e| e.to_string())?;
-    let train = Discrete::from_codes(codes, levels.len()).map_err(|e| e.to_string())?;
+    let train = Discrete::from_codes(&codes, levels.len()).map_err(|e| e.to_string())?;
     let n = codes.len();
 
     let groups = levels

@@ -26,9 +26,9 @@
 //!   leaves; scales past the exhaustive regime at the cost of
 //!   completeness.
 //!
-//! The pre-bitset row-list implementation is retained as
-//! [`SubgroupAuditor::audit_naive`], the reference oracle the
-//! equivalence suite and `bench_subgroup` compare against.
+//! The pre-bitset row-list implementation is the reference oracle of
+//! the equivalence suite in `crates/audit/tests/prop_audit.rs`, which
+//! checks this auditor against it finding for finding.
 //!
 //! With telemetry attached (see [`SubgroupAuditor::audit_observed`]) an
 //! audit leaves an evidential trail: a `subgroup_audit_started` event, a
@@ -44,6 +44,7 @@ use fairbridge_obs::{FairnessEvent, Telemetry};
 use fairbridge_stats::hypothesis::two_proportion_z;
 use fairbridge_tabular::par::{ordered_parallel_map, size_aware_workers};
 use fairbridge_tabular::{Column, Dataset, RowMask};
+use std::borrow::Cow;
 
 /// Work-unit floor per lattice worker, where one unit is one row
 /// touched by one seed subtree (`rows × seeds` total), sized from
@@ -103,35 +104,28 @@ impl Default for SubgroupAuditor {
     }
 }
 
-/// Per-column `(name, levels, codes)` view used during enumeration.
-struct ColumnView {
-    name: String,
-    levels: Vec<String>,
-    codes: Vec<u32>,
+/// Per-column `(name, levels, codes)` view used during enumeration,
+/// borrowed from the dataset through [`Column::coded`].
+struct ColumnView<'a> {
+    name: &'a str,
+    levels: Cow<'a, [String]>,
+    codes: Cow<'a, [u32]>,
 }
 
-/// Interned views of the audited columns (shared by the bitset engine
-/// and the naive oracle).
-fn build_views(ds: &Dataset, columns: &[&str]) -> Result<Vec<ColumnView>, String> {
+/// Coded views of the audited columns.
+fn build_views<'a>(ds: &'a Dataset, columns: &[&'a str]) -> Result<Vec<ColumnView<'a>>, String> {
     columns
         .iter()
         .map(|&name| {
             let col = ds.column(name).map_err(|e| e.to_string())?;
-            match col {
-                Column::Categorical { levels, codes } => Ok(ColumnView {
-                    name: name.to_owned(),
-                    levels: levels.clone(),
-                    codes: codes.clone(),
-                }),
-                Column::Boolean(values) => Ok(ColumnView {
-                    name: name.to_owned(),
-                    levels: vec!["false".to_owned(), "true".to_owned()],
-                    codes: values.iter().map(|&b| u32::from(b)).collect(),
-                }),
-                Column::Numeric(_) => Err(format!(
-                    "column `{name}` is numeric; bin it before subgroup auditing"
-                )),
-            }
+            let (levels, codes) = col.coded().ok_or_else(|| {
+                format!("column `{name}` is numeric; bin it before subgroup auditing")
+            })?;
+            Ok(ColumnView {
+                name,
+                levels,
+                codes,
+            })
         })
         .collect()
 }
@@ -160,7 +154,7 @@ struct SeedStats {
 
 /// Shared read-only state of one lattice enumeration.
 struct Lattice<'a> {
-    views: &'a [ColumnView],
+    views: &'a [ColumnView<'a>],
     /// `masks[ci][lv]` selects the rows with `views[ci].codes == lv`.
     masks: &'a [Vec<RowMask>],
     decisions: &'a RowMask,
@@ -372,7 +366,7 @@ impl SubgroupAuditor {
                         .iter()
                         .map(|&(ci, lv)| {
                             (
-                                views[ci].name.clone(),
+                                views[ci].name.to_owned(),
                                 views[ci].levels[lv as usize].clone(),
                             )
                         })
@@ -393,92 +387,6 @@ impl SubgroupAuditor {
             telemetry
                 .counter("subgroup.findings")
                 .add(findings.len() as u64);
-        }
-        sort_findings(&mut findings);
-        Ok(findings)
-    }
-
-    /// The pre-bitset implementation, retained verbatim as the reference
-    /// **oracle** for the equivalence suite and `bench_subgroup`: it
-    /// filters `Vec<usize>` row lists per node on one thread. Use
-    /// [`SubgroupAuditor::audit`] everywhere else — the two return the
-    /// same findings, orders of magnitude apart in cost.
-    pub fn audit_naive(
-        &self,
-        ds: &Dataset,
-        columns: &[&str],
-        decisions: &[bool],
-    ) -> Result<Vec<SubgroupFinding>, String> {
-        if decisions.len() != ds.n_rows() {
-            return Err("decisions length must match dataset rows".to_owned());
-        }
-        if columns.is_empty() {
-            return Err("subgroup audit requires at least one column".to_owned());
-        }
-        let views = build_views(ds, columns)?;
-        let total_pos = decisions.iter().filter(|&&d| d).count();
-        let n = decisions.len();
-        let mut findings = Vec::new();
-        // Depth-first enumeration over column index combinations (strictly
-        // increasing to avoid duplicates), with membership row lists.
-        type Frame = (usize, Vec<(usize, u32)>, Vec<usize>);
-        let mut stack: Vec<Frame> = Vec::new();
-        // seed: single-column conditions
-        for (ci, view) in views.iter().enumerate() {
-            for level in 0..view.levels.len() as u32 {
-                let rows: Vec<usize> = (0..n).filter(|&i| view.codes[i] == level).collect();
-                stack.push((ci, vec![(ci, level)], rows));
-            }
-        }
-        while let Some((last_ci, conds, rows)) = stack.pop() {
-            if rows.len() >= self.min_support && rows.len() < n {
-                let pos = rows.iter().filter(|&&i| decisions[i]).count();
-                let comp_n = n - rows.len();
-                let comp_pos = total_pos - pos;
-                let test = two_proportion_z(
-                    pos as u64,
-                    rows.len() as u64,
-                    comp_pos as u64,
-                    comp_n as u64,
-                );
-                if test.p_value < self.alpha {
-                    let rate = pos as f64 / rows.len() as f64;
-                    let complement_rate = comp_pos as f64 / comp_n as f64;
-                    findings.push(SubgroupFinding {
-                        conditions: conds
-                            .iter()
-                            .map(|&(ci, lv)| {
-                                (
-                                    views[ci].name.clone(),
-                                    views[ci].levels[lv as usize].clone(),
-                                )
-                            })
-                            .collect(),
-                        size: rows.len(),
-                        rate,
-                        complement_rate,
-                        gap: rate - complement_rate,
-                        p_value: test.p_value,
-                    });
-                }
-            }
-            // Extend with deeper conjunctions.
-            if conds.len() < self.max_depth && rows.len() >= self.min_support {
-                for (ci, view) in views.iter().enumerate().skip(last_ci + 1) {
-                    for level in 0..view.levels.len() as u32 {
-                        let sub: Vec<usize> = rows
-                            .iter()
-                            .copied()
-                            .filter(|&i| view.codes[i] == level)
-                            .collect();
-                        if sub.len() >= self.min_support {
-                            let mut c = conds.clone();
-                            c.push((ci, level));
-                            stack.push((ci, c, sub));
-                        }
-                    }
-                }
-            }
         }
         sort_findings(&mut findings);
         Ok(findings)
@@ -725,26 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn bitset_audit_matches_naive_oracle_on_gerrymandered_data() {
-        let ds = gerrymandered();
-        let decisions = ds.labels().unwrap().to_vec();
-        let auditor = SubgroupAuditor {
-            max_depth: 2,
-            min_support: 20,
-            alpha: 1.0, // keep everything: exercise every lattice node
-        };
-        let mut fast = auditor.audit(&ds, &["gender", "race"], &decisions).unwrap();
-        let mut naive = auditor
-            .audit_naive(&ds, &["gender", "race"], &decisions)
-            .unwrap();
-        let by_conditions =
-            |a: &SubgroupFinding, b: &SubgroupFinding| a.conditions.cmp(&b.conditions);
-        fast.sort_by(by_conditions);
-        naive.sort_by(by_conditions);
-        assert_eq!(fast, naive);
-    }
-
-    #[test]
     fn parallel_audit_is_bitwise_identical_to_serial() {
         let ds = gerrymandered();
         let decisions = ds.labels().unwrap().to_vec();
@@ -805,7 +693,6 @@ mod tests {
         let auditor = SubgroupAuditor::default();
         let decisions = ds.labels().unwrap().to_vec();
         assert!(auditor.audit(&ds, &["score"], &decisions).is_err());
-        assert!(auditor.audit_naive(&ds, &["score"], &decisions).is_err());
     }
 
     #[test]

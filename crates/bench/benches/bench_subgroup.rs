@@ -2,8 +2,7 @@
 //! enumeration vs the learned tree auditor, and the exponential cost of
 //! depth (the paper's IV.C "computational issues ... complexity increases
 //! exponentially"). The `subgroup_lattice` group measures the bitset
-//! lattice engine against the retained naive row-list oracle, serial and
-//! parallel, at depths 2 and 3.
+//! lattice engine, serial and parallel, at depths 2 and 3.
 
 use fairbridge::audit::subgroup::{tree_audit, SubgroupAuditor};
 use fairbridge::obs::Telemetry;
@@ -77,8 +76,7 @@ fn bench_subgroup(c: &mut Criterion) {
     group.finish();
 }
 
-/// Naive row-list oracle vs the bitset lattice engine (serial and
-/// parallel) on the same audit — the PR's headline speedup.
+/// The bitset lattice engine, serial and parallel, on the same audit.
 fn bench_lattice(c: &mut Criterion) {
     let mut group = c.benchmark_group("subgroup_lattice");
     let ds = setup(10_000);
@@ -91,9 +89,6 @@ fn bench_lattice(c: &mut Criterion) {
             min_support: 20,
             alpha: 0.05,
         };
-        group.bench_with_input(BenchmarkId::new("naive_depth", depth), &depth, |b, _| {
-            b.iter(|| black_box(auditor.audit_naive(&ds, &cols, &decisions).unwrap()))
-        });
         group.bench_with_input(BenchmarkId::new("bitset_depth", depth), &depth, |b, _| {
             b.iter(|| {
                 black_box(

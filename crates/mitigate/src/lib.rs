@@ -11,7 +11,8 @@
 //! * [`suppress`] — attribute suppression incl. correlated proxies — the
 //!   "fairness through unawareness" strategy whose insufficiency Section
 //!   IV.B demonstrates (provided so experiments can demonstrate exactly
-//!   that);
+//!   that); proxies are scored by the audit's own scorer,
+//!   `fairbridge_stats::correlation::association_ranking`;
 //!
 //! **In-processing** (fix the training objective):
 //! * [`inprocess`] — logistic regression with a decision-boundary

@@ -5,70 +5,13 @@
 //! paper's Section IV.B shows to be insufficient, because "there most
 //! probably exist other attributes that are correlated with it". The
 //! proxy-aware variant therefore also drops (or flags) features whose
-//! association with the protected attribute exceeds a threshold.
+//! association with the protected attribute exceeds a threshold. The
+//! association is [`association_ranking`]'s, the scorer the audit's proxy
+//! ranking uses, so suppression drops exactly the features an audit at the
+//! same threshold flags.
 
-use fairbridge_stats::correlation::{cramers_v, point_biserial, Contingency};
-use fairbridge_tabular::{Column, Dataset, Role};
-
-/// Association of one feature with a protected attribute.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProxyScore {
-    /// Feature column name.
-    pub feature: String,
-    /// Association strength ∈ \[0, 1\]: Cramér's V for categorical/boolean
-    /// features, |point-biserial| (vs. a two-level protected attribute)
-    /// for numeric ones.
-    pub association: f64,
-}
-
-/// Measures every feature's association with the named protected column.
-///
-/// Works for categorical protected attributes of any arity; numeric
-/// features are scored against each level indicator and the max is taken.
-pub fn proxy_scores(ds: &Dataset, protected: &str) -> Result<Vec<ProxyScore>, String> {
-    let (p_levels, p_codes) = ds.categorical(protected).map_err(|e| e.to_string())?;
-    let p_levels = p_levels.to_vec();
-    let p_codes = p_codes.to_vec();
-    let k = p_levels.len();
-    let mut out = Vec::new();
-    for meta in ds.schema().fields() {
-        if meta.role != Role::Feature {
-            continue;
-        }
-        let col = ds.column(&meta.name).map_err(|e| e.to_string())?;
-        let association = match col {
-            Column::Categorical { levels, codes } => {
-                let t = Contingency::from_codes(&p_codes, codes, k, levels.len());
-                cramers_v(&t)
-            }
-            Column::Boolean(values) => {
-                let codes: Vec<u32> = values.iter().map(|&b| u32::from(b)).collect();
-                let t = Contingency::from_codes(&p_codes, &codes, k, 2);
-                cramers_v(&t)
-            }
-            Column::Numeric(values) => {
-                // max over level indicators
-                (0..k)
-                    .map(|level| {
-                        let indicator: Vec<bool> =
-                            p_codes.iter().map(|&c| c as usize == level).collect();
-                        point_biserial(values, &indicator).abs()
-                    })
-                    .fold(0.0f64, f64::max)
-            }
-        };
-        out.push(ProxyScore {
-            feature: meta.name.clone(),
-            association,
-        });
-    }
-    out.sort_by(|a, b| {
-        b.association
-            .partial_cmp(&a.association)
-            .expect("NaN association")
-    });
-    Ok(out)
-}
+use fairbridge_stats::correlation::{association_ranking, FeatureAssociation};
+use fairbridge_tabular::{Dataset, Role};
 
 /// The suppression result.
 #[derive(Debug, Clone)]
@@ -77,7 +20,7 @@ pub struct SuppressResult {
     /// the selected proxies dropped.
     pub dataset: Dataset,
     /// Features dropped as proxies, with their associations.
-    pub dropped: Vec<ProxyScore>,
+    pub dropped: Vec<FeatureAssociation>,
 }
 
 /// Suppresses a protected attribute and every feature whose association
@@ -88,7 +31,7 @@ pub fn suppress(
     protected: &str,
     proxy_threshold: f64,
 ) -> Result<SuppressResult, String> {
-    let scores = proxy_scores(ds, protected)?;
+    let scores = association_ranking(ds, protected)?;
     let mut dataset = ds
         .with_role(protected, Role::Ignored)
         .map_err(|e| e.to_string())?;
@@ -123,15 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn proxy_scores_rank_the_duplicate_first() {
-        let scores = proxy_scores(&ds(), "sex").unwrap();
-        assert_eq!(scores[0].feature, "proxy_uni");
-        assert!((scores[0].association - 1.0).abs() < 1e-9);
-        let merit = scores.iter().find(|s| s.feature == "merit").unwrap();
-        assert!(merit.association < 0.1);
-    }
-
-    #[test]
     fn suppress_drops_strong_proxies() {
         let result = suppress(&ds(), "sex", 0.5).unwrap();
         assert_eq!(result.dropped.len(), 1);
@@ -150,33 +84,5 @@ mod tests {
         let result = suppress(&ds(), "sex", 1.1).unwrap();
         assert!(result.dropped.is_empty());
         assert!(result.dataset.column("proxy_uni").is_ok());
-    }
-
-    #[test]
-    fn numeric_proxy_detected() {
-        let n = 40;
-        let sex: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let height: Vec<f64> = sex.iter().map(|&s| 160.0 + 15.0 * s as f64).collect();
-        let ds = Dataset::builder()
-            .categorical_with_role("sex", vec!["m", "f"], sex, Role::Protected)
-            .numeric("height", height)
-            .boolean_with_role("y", vec![true; n], Role::Label)
-            .build()
-            .unwrap();
-        let scores = proxy_scores(&ds, "sex").unwrap();
-        assert!((scores[0].association - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn boolean_feature_scored() {
-        let ds = Dataset::builder()
-            .categorical_with_role("sex", vec!["m", "f"], vec![0, 0, 1, 1], Role::Protected)
-            .boolean("maternity_leave", vec![false, false, true, true])
-            .boolean_with_role("y", vec![true, false, true, false], Role::Label)
-            .build()
-            .unwrap();
-        let scores = proxy_scores(&ds, "sex").unwrap();
-        assert_eq!(scores[0].feature, "maternity_leave");
-        assert!((scores[0].association - 1.0).abs() < 1e-9);
     }
 }

@@ -762,6 +762,52 @@ mod tests {
         assert_eq!(audit("64"), at_column_count);
     }
 
+    /// 60 rows whose protected column `g` is spelled `g_column` (its
+    /// type and row fields), with a proxy feature `uni` that mostly
+    /// follows `g` and a label skewed against `g = true`.
+    fn boolean_protected_body(g_column: &str) -> String {
+        let join = |f: &dyn Fn(u32) -> String| (0..60u32).map(f).collect::<Vec<_>>().join(",");
+        format!(
+            concat!(
+                "{{\"dataset\":{{\"columns\":[",
+                "{{\"name\":\"g\",\"role\":\"protected\",{}}},",
+                "{{\"name\":\"uni\",\"type\":\"categorical\",\"role\":\"feature\",",
+                "\"levels\":[\"a\",\"b\"],\"codes\":[{}]}},",
+                "{{\"name\":\"hired\",\"type\":\"boolean\",\"role\":\"label\",\"values\":[{}]}}",
+                "]}},\"protected\":[\"g\"],\"min_group_size\":5}}"
+            ),
+            g_column,
+            join(&|r| u32::from((r % 2 == 1) != (r % 7 == 0)).to_string()),
+            join(&|r| (r % 2 == 0 || r % 3 == 0).to_string()),
+        )
+    }
+
+    #[test]
+    fn boolean_protected_column_audits_like_its_categorical_spelling() {
+        let g = |r: u32| r % 2 == 1;
+        let values = (0..60).map(|r| g(r).to_string()).collect::<Vec<_>>();
+        let codes = (0..60)
+            .map(|r| u32::from(g(r)).to_string())
+            .collect::<Vec<_>>();
+        let boolean = boolean_protected_body(&format!(
+            "\"type\":\"boolean\",\"values\":[{}]",
+            values.join(",")
+        ));
+        let categorical = boolean_protected_body(&format!(
+            "\"type\":\"categorical\",\"levels\":[\"false\",\"true\"],\"codes\":[{}]",
+            codes.join(",")
+        ));
+        let engine = Engine::new(EngineConfig::default());
+        let audit = |body: &str| handle_audit(&engine, body.as_bytes(), &Telemetry::off());
+        let expected = audit(&categorical);
+        assert_eq!(expected.status, 200);
+        let text = String::from_utf8_lossy(&expected.body).into_owned();
+        assert!(text.contains("\"flagged_proxies\":[\"uni\"]"), "{text}");
+        let got = audit(&boolean);
+        assert_eq!(got.status, 200, "{}", String::from_utf8_lossy(&got.body));
+        assert_eq!(got, expected);
+    }
+
     #[test]
     fn mitigate_round_trip() {
         let body = concat!(

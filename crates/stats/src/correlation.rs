@@ -5,8 +5,14 @@
 //! attribute: Pearson/Spearman for numeric–numeric, point-biserial for
 //! numeric–binary, Cramér's V and mutual information for
 //! categorical–categorical.
+//!
+//! [`association_ranking`] is the one proxy scorer built from them: the
+//! audit's proxy ranking (`fairbridge_audit::proxy`) and proxy-aware
+//! suppression (`fairbridge_mitigate::suppress`) both call it, so the
+//! features an audit flags are the ones a mitigation drops.
 
 use crate::special::ln_gamma;
+use fairbridge_tabular::{Dataset, Role};
 
 /// Pearson product-moment correlation ∈ [−1, 1].
 /// Returns 0 when either side has zero variance, as an empty sample has.
@@ -211,6 +217,71 @@ pub fn normalized_mutual_information(table: &Contingency) -> f64 {
     (mutual_information(table) / denom).clamp(0.0, 1.0)
 }
 
+/// Association of one feature with the protected attribute.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FeatureAssociation {
+    /// Feature name.
+    pub feature: String,
+    /// Cramér's V (categorical/boolean) or |point-biserial| (numeric).
+    pub association: f64,
+    /// Normalized mutual information (categorical/boolean only, else NaN).
+    pub nmi: f64,
+}
+
+/// Ranks every feature by association with the protected column,
+/// strongest first.
+///
+/// The protected column and each categorical or boolean feature are read
+/// through [`fairbridge_tabular::Column::coded`]. A coded feature scores
+/// Cramér's V and NMI of its (protected × feature) table; a numeric one
+/// scores the largest |point-biserial| against any protected level's
+/// indicator.
+pub fn association_ranking(
+    ds: &Dataset,
+    protected: &str,
+) -> Result<Vec<FeatureAssociation>, String> {
+    let (p_levels, p_codes) = ds
+        .column(protected)
+        .and_then(|c| c.as_coded(protected))
+        .map_err(|e| e.to_string())?;
+    let k = p_levels.len();
+    let mut out = Vec::new();
+    for meta in ds.schema().fields() {
+        if meta.role != Role::Feature {
+            continue;
+        }
+        let col = ds.column(&meta.name).map_err(|e| e.to_string())?;
+        let (association, nmi) = match col.coded() {
+            Some((levels, codes)) => {
+                let t = Contingency::from_codes(&p_codes, &codes, k, levels.len());
+                (cramers_v(&t), normalized_mutual_information(&t))
+            }
+            None => {
+                let values = col.as_numeric(&meta.name).map_err(|e| e.to_string())?;
+                let a = (0..k)
+                    .map(|level| {
+                        let ind: Vec<bool> = p_codes.iter().map(|&c| c as usize == level).collect();
+                        point_biserial(values, &ind).abs()
+                    })
+                    .fold(0.0f64, f64::max);
+                (a, f64::NAN)
+            }
+        };
+        out.push(FeatureAssociation {
+            feature: meta.name.clone(),
+            association,
+            nmi,
+        });
+    }
+    out.sort_by(|a, b| {
+        b.association
+            .partial_cmp(&a.association)
+            // fb-lint: allow(P1): Cramér's V of finite counts and an f64::max fold (which drops NaN) are never NaN
+            .expect("NaN association")
+    });
+    Ok(out)
+}
+
 /// Log-probability of a 2×2 table under the hypergeometric null, used by
 /// Fisher's exact test in [`crate::hypothesis`].
 pub fn ln_hypergeometric_prob(a: u64, b: u64, c: u64, d: u64) -> f64 {
@@ -288,6 +359,58 @@ mod tests {
         // One-row table: H(A)=0 → NMI defined as 0.
         let t = Contingency::from_counts(vec![vec![10.0, 20.0]]);
         assert_eq!(normalized_mutual_information(&t), 0.0);
+    }
+
+    fn proxy_ds() -> Dataset {
+        // proxy duplicates sex; merit is independent of it.
+        let n = 40;
+        let sex: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
+        let proxy: Vec<u32> = sex.clone();
+        let merit: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
+        Dataset::builder()
+            .categorical_with_role("sex", vec!["m", "f"], sex, Role::Protected)
+            .categorical_with_role("proxy_uni", vec!["u1", "u2"], proxy, Role::Feature)
+            .numeric("merit", merit)
+            .boolean_with_role("y", (0..n).map(|i| i % 5 > 1).collect(), Role::Label)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn association_ranking_ranks_the_duplicate_first() {
+        let scores = association_ranking(&proxy_ds(), "sex").unwrap();
+        assert_eq!(scores[0].feature, "proxy_uni");
+        assert!((scores[0].association - 1.0).abs() < 1e-9);
+        let merit = scores.iter().find(|s| s.feature == "merit").unwrap();
+        assert!(merit.association < 0.1);
+    }
+
+    #[test]
+    fn numeric_proxy_detected() {
+        let n = 40;
+        let sex: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
+        let height: Vec<f64> = sex.iter().map(|&s| 160.0 + 15.0 * s as f64).collect();
+        let ds = Dataset::builder()
+            .categorical_with_role("sex", vec!["m", "f"], sex, Role::Protected)
+            .numeric("height", height)
+            .boolean_with_role("y", vec![true; n], Role::Label)
+            .build()
+            .unwrap();
+        let scores = association_ranking(&ds, "sex").unwrap();
+        assert!((scores[0].association - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn boolean_feature_scored() {
+        let ds = Dataset::builder()
+            .categorical_with_role("sex", vec!["m", "f"], vec![0, 0, 1, 1], Role::Protected)
+            .boolean("maternity_leave", vec![false, false, true, true])
+            .boolean_with_role("y", vec![true, false, true, false], Role::Label)
+            .build()
+            .unwrap();
+        let scores = association_ranking(&ds, "sex").unwrap();
+        assert_eq!(scores[0].feature, "maternity_leave");
+        assert!((scores[0].association - 1.0).abs() < 1e-9);
     }
 
     #[test]

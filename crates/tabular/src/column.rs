@@ -2,6 +2,10 @@
 
 use crate::error::{Error, Result};
 use crate::value::{DType, Value};
+use std::borrow::Cow;
+
+/// A column's dictionary view: level names and per-row codes into them.
+pub type Coded<'a> = (Cow<'a, [String]>, Cow<'a, [u32]>);
 
 /// A single typed column of data.
 ///
@@ -144,13 +148,30 @@ impl Column {
             })
     }
 
-    /// Number of distinct levels (categorical), 2 (boolean), or `None`.
-    pub fn cardinality(&self) -> Option<usize> {
+    /// The column as levels and codes: a categorical column borrowed, a
+    /// boolean one as levels `false`/`true` with codes 0/1, and `None`
+    /// for a numeric one. This is the one place a boolean becomes a
+    /// two-level categorical.
+    pub fn coded(&self) -> Option<Coded<'_>> {
         match self {
-            Column::Categorical { levels, .. } => Some(levels.len()),
-            Column::Boolean(_) => Some(2),
+            Column::Categorical { levels, codes } => {
+                Some((Cow::Borrowed(levels), Cow::Borrowed(codes)))
+            }
+            Column::Boolean(values) => Some((
+                Cow::Owned(vec!["false".to_owned(), "true".to_owned()]),
+                Cow::Owned(values.iter().map(|&b| u32::from(b)).collect()),
+            )),
             Column::Numeric(_) => None,
         }
+    }
+
+    /// [`Column::coded`], or a type error mentioning `name`.
+    pub fn as_coded(&self, name: &str) -> Result<Coded<'_>> {
+        self.coded().ok_or_else(|| Error::TypeMismatch {
+            column: name.to_owned(),
+            expected: "categorical or boolean",
+            actual: self.dtype().name(),
+        })
     }
 
     /// A new column containing only the rows in `indices` (in that order).
@@ -231,13 +252,21 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_by_type() {
-        assert_eq!(Column::Boolean(vec![true]).cardinality(), Some(2));
-        assert_eq!(Column::Numeric(vec![1.0]).cardinality(), None);
-        assert_eq!(
-            Column::categorical_from_strs(&["a", "b"]).cardinality(),
-            Some(2)
-        );
+    fn coded_by_type() {
+        let b = Column::Boolean(vec![true, false]);
+        let (levels, codes) = b.coded().unwrap();
+        assert_eq!(&*levels, &["false".to_owned(), "true".to_owned()]);
+        assert_eq!(&*codes, &[1, 0]);
+        let c = Column::categorical_from_strs(&["a", "b", "a"]);
+        let (levels, codes) = c.coded().unwrap();
+        assert!(matches!(levels, Cow::Borrowed(_)) && matches!(codes, Cow::Borrowed(_)));
+        assert_eq!(&*codes, &[0, 1, 0]);
+        let x = Column::Numeric(vec![1.0]);
+        assert!(x.coded().is_none());
+        assert!(matches!(
+            x.as_coded("x").unwrap_err(),
+            Error::TypeMismatch { .. }
+        ));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::column::Column;
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Which columns to group by.
@@ -65,70 +66,47 @@ pub struct GroupIndex {
     rows: Vec<usize>,
 }
 
-/// One grouping column, borrowed from the dataset: its codes, each
-/// code's rank among the column's sorted distinct level names, and those
-/// names.
-enum Ranked<'a> {
-    Categorical {
-        codes: &'a [u32],
-        ranks: Vec<u32>,
-        names: Vec<&'a str>,
-    },
-    /// A boolean ranks as itself: `false` < `true`.
-    Boolean(&'a [bool]),
+/// One grouping column through its coded view ([`Column::coded`]): its
+/// codes, each code's rank among the column's sorted distinct level
+/// names, and those names.
+struct Ranked<'a> {
+    codes: Cow<'a, [u32]>,
+    ranks: Vec<u32>,
+    names: Vec<String>,
 }
 
 impl<'a> Ranked<'a> {
     fn new(name: &str, column: &'a Column) -> Result<Ranked<'a>> {
-        match column {
-            Column::Categorical { levels, codes } => {
-                // Equal names share a rank, so a dictionary that repeats
-                // a level name merges those codes into one group.
-                let mut order: Vec<usize> = (0..levels.len()).collect();
-                order.sort_by_key(|&code| &levels[code]);
-                let mut ranks = vec![0u32; levels.len()];
-                let mut names: Vec<&str> = Vec::new();
-                for code in order {
-                    if names.last() != Some(&levels[code].as_str()) {
-                        names.push(&levels[code]);
-                    }
-                    ranks[code] = (names.len() - 1) as u32;
-                }
-                Ok(Ranked::Categorical {
-                    codes,
-                    ranks,
-                    names,
-                })
+        let (levels, codes) = column.as_coded(name)?;
+        // Equal names share a rank, so a dictionary that repeats a level
+        // name merges those codes into one group.
+        let mut order: Vec<usize> = (0..levels.len()).collect();
+        order.sort_by_key(|&code| &levels[code]);
+        let mut ranks = vec![0u32; levels.len()];
+        let mut names: Vec<String> = Vec::new();
+        for code in order {
+            if names.last() != Some(&levels[code]) {
+                names.push(levels[code].clone());
             }
-            Column::Boolean(values) => Ok(Ranked::Boolean(values)),
-            Column::Numeric(_) => Err(Error::TypeMismatch {
-                column: name.to_owned(),
-                expected: "categorical or boolean",
-                actual: "numeric",
-            }),
+            ranks[code] = (names.len() - 1) as u32;
         }
+        Ok(Ranked {
+            codes,
+            ranks,
+            names,
+        })
     }
 
     fn rank(&self, row: usize) -> u32 {
-        match self {
-            Ranked::Categorical { codes, ranks, .. } => ranks[codes[row] as usize],
-            Ranked::Boolean(values) => u32::from(values[row]),
-        }
-    }
-
-    fn names(&self) -> &[&'a str] {
-        match self {
-            Ranked::Categorical { names, .. } => names,
-            Ranked::Boolean(_) => &["false", "true"],
-        }
+        self.ranks[self.codes[row] as usize]
     }
 }
 
 impl GroupIndex {
     /// Builds the partition for `spec` over `ds`.
     ///
-    /// Boolean columns are treated as two-level categoricals with levels
-    /// `"false"` and `"true"`. Numeric columns are rejected — bin them first.
+    /// Boolean columns group through their coded view, as two-level
+    /// categoricals. Numeric columns are rejected — bin them first.
     ///
     /// Rows are ordered by a stable LSD counting sort on each column's
     /// level-name ranks, last column first, so the sorted rows run group
@@ -150,7 +128,7 @@ impl GroupIndex {
         let mut rows: Vec<usize> = (0..n).collect();
         let mut sorted = vec![0usize; n];
         for column in columns.iter().rev() {
-            let mut starts = vec![0usize; column.names().len() + 1];
+            let mut starts = vec![0usize; column.names.len() + 1];
             for &row in &rows {
                 starts[column.rank(row) as usize + 1] += 1;
             }
@@ -175,7 +153,7 @@ impl GroupIndex {
                 keys.push(GroupKey(
                     columns
                         .iter()
-                        .map(|c| c.names()[c.rank(row) as usize].to_owned())
+                        .map(|c| c.names[c.rank(row) as usize].clone())
                         .collect(),
                 ));
             }
