@@ -39,7 +39,8 @@ pub struct PredictabilityAudit {
 }
 
 /// Trains a logistic model to predict membership of `protected_level`
-/// within the protected column from the *feature* columns only, and
+/// within the (categorical or boolean) protected column from the
+/// *feature* columns only, and
 /// reports its held-out AUC plus the leading coefficients.
 pub fn predictability_audit<R: Rng>(
     ds: &Dataset,
@@ -47,7 +48,10 @@ pub fn predictability_audit<R: Rng>(
     protected_level: &str,
     rng: &mut R,
 ) -> Result<PredictabilityAudit, String> {
-    let (levels, codes) = ds.categorical(protected).map_err(|e| e.to_string())?;
+    let (levels, codes) = ds
+        .column(protected)
+        .and_then(|c| c.as_coded(protected))
+        .map_err(|e| e.to_string())?;
     let target_code = levels
         .iter()
         .position(|l| l == protected_level)
@@ -238,6 +242,45 @@ mod tests {
             "auc {}",
             audit_none.auc
         );
+    }
+
+    #[test]
+    fn boolean_protected_column_audits_like_its_categorical_spelling() {
+        let data = generate(
+            &HiringConfig {
+                n: 1500,
+                proxy_strength: 0.9,
+                ..HiringConfig::default()
+            },
+            &mut StdRng::seed_from_u64(54),
+        );
+        let (_, sex) = data.dataset.categorical("sex").unwrap();
+        let codes = sex.to_vec();
+        let spell = |column: Column| {
+            data.dataset
+                .drop_column("sex")
+                .unwrap()
+                .with_column("g", column, Role::Protected)
+                .unwrap()
+        };
+        let boolean = spell(Column::Boolean(codes.iter().map(|&c| c == 1).collect()));
+        let categorical = spell(Column::Categorical {
+            levels: vec!["false".into(), "true".into()],
+            codes,
+        });
+        let run = |ds: &Dataset| {
+            let audit =
+                predictability_audit(ds, "g", "true", &mut StdRng::seed_from_u64(55)).unwrap();
+            let channels: Vec<(String, u64)> = audit
+                .channels
+                .into_iter()
+                .map(|(name, w)| (name, w.to_bits()))
+                .collect();
+            (audit.auc.to_bits(), channels)
+        };
+        let (auc, channels) = run(&boolean);
+        assert!(f64::from_bits(auc) > 0.8, "auc {}", f64::from_bits(auc));
+        assert_eq!((auc, channels), run(&categorical));
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub use fairbridge_metrics::{
 pub use fairbridge_mitigate::{reweigh, GroupThresholds, ThresholdObjective};
 pub use fairbridge_obs::{FairnessEvent, JsonlSink, RingSink, Telemetry};
 pub use fairbridge_synth::{HiringConfig, IntersectionalConfig, PopulationModel};
-pub use fairbridge_tabular::{Dataset, GroupKey, GroupSpec, Role};
+pub use fairbridge_tabular::{Dataset, GroupKey, Role};
 
 #[cfg(test)]
 mod tests {

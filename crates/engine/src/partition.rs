@@ -14,7 +14,7 @@
 //! snapshot the telemetry layer relies on.
 
 use crate::error::EngineError;
-use fairbridge_tabular::{Column, Dataset, GroupIndex, GroupSpec};
+use fairbridge_tabular::{Column, Dataset, GroupIndex};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The outcome of one cache lookup, as the telemetry layer records it.
@@ -190,8 +190,7 @@ impl PartitionCache {
         };
         // Build outside the lock: partition construction is the
         // expensive part and must not serialize other lookups.
-        let spec = GroupSpec::intersection(protected.to_vec());
-        let built = Arc::new(GroupIndex::build(ds, &spec)?);
+        let built = Arc::new(GroupIndex::build(ds, protected)?);
         let mut state = self.state();
         state.misses += 1;
         // A racing builder may have inserted meanwhile; keep the first.
@@ -361,7 +360,7 @@ mod tests {
         let other = protected(vec!["tenant-b-x", "tenant-b-y"], vec![1, 1, 0, 1, 0, 0]);
         // Differs from `first` only in its last protected code.
         let last_code = protected(vec!["male", "female"], vec![0, 1, 0, 1, 1, 1]);
-        let own = |ds: &Dataset| GroupIndex::build(ds, &GroupSpec::single("sex")).unwrap();
+        let own = |ds: &Dataset| GroupIndex::build(ds, &["sex"]).unwrap();
         let a = cache.fetch(&first, &["sex"]).unwrap();
         for (ds, entry) in [(&other, 2), (&last_code, 3)] {
             let b = cache.fetch(ds, &["sex"]).unwrap();

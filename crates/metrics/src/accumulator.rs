@@ -27,7 +27,7 @@ use crate::opportunity::OpportunityReport;
 use crate::outcome::{GapSummary, Outcomes, RateStat};
 use crate::parity::ParityReport;
 use crate::report::{FairnessReport, MetricLine};
-use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec};
+use fairbridge_tabular::{Dataset, GroupIndex, GroupKey};
 use std::ops::Range;
 
 /// Sufficient statistics for one protected group.
@@ -159,10 +159,7 @@ impl GroupAccumulator {
         strata: &[&str],
         decisions: &[bool],
     ) -> Result<Vec<(GroupKey, GroupAccumulator)>, String> {
-        let index = |columns: &[&str]| {
-            GroupIndex::build(ds, &GroupSpec::intersection(columns.to_vec()))
-                .map_err(|e| e.to_string())
-        };
+        let index = |columns: &[&str]| GroupIndex::build(ds, columns).map_err(|e| e.to_string());
         let (strata, groups) = (index(strata)?, index(protected)?);
         let mut accs = vec![GroupAccumulator::for_groups(&groups, false); strata.n_groups()];
         for (row, &decision) in decisions.iter().enumerate() {

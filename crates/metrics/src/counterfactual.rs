@@ -64,16 +64,17 @@ impl CounterfactualReport {
 }
 
 /// Runs the counterfactual probe for `model` over every row of `ds`,
-/// intervening on the categorical protected column `protected`.
+/// intervening on the categorical or boolean protected column
+/// `protected`; the intervened column keeps the column's own type, so
+/// the model's encoder reads it as it read the original.
 pub fn counterfactual_fairness(
     model: &TrainedModel,
     ds: &Dataset,
     protected: &str,
     adjust: AdjustStrategy,
 ) -> Result<CounterfactualReport, String> {
-    let (levels, codes) = ds.categorical(protected).map_err(|e| e.to_string())?;
-    let levels = levels.to_vec();
-    let codes = codes.to_vec();
+    let column = ds.column(protected).map_err(|e| e.to_string())?;
+    let (levels, codes) = column.as_coded(protected).map_err(|e| e.to_string())?;
     let n = ds.n_rows();
     if n == 0 {
         return Err("counterfactual probe requires a non-empty dataset".to_owned());
@@ -100,7 +101,7 @@ pub fn counterfactual_fairness(
             let values = ds.numeric(fname).map_err(|e| e.to_string())?;
             let mut sums = vec![0.0; n_levels];
             let mut counts = vec![0usize; n_levels];
-            for (&v, &c) in values.iter().zip(&codes) {
+            for (&v, &c) in values.iter().zip(codes.iter()) {
                 sums[c as usize] += v;
                 counts[c as usize] += 1;
             }
@@ -124,19 +125,25 @@ pub fn counterfactual_fairness(
     // counterfactual dataset in one pass and score it; then only rows whose
     // original level differs from t contribute.
     for target in 0..n_levels as u32 {
-        let cf_codes: Vec<u32> = vec![target; n];
-        let mut cf = replace_categorical(ds, protected, &levels, cf_codes)?;
+        let intervened = match column {
+            Column::Boolean(_) => Column::Boolean(vec![target == 1; n]),
+            _ => Column::Categorical {
+                levels: levels.to_vec(),
+                codes: vec![target; n],
+            },
+        };
+        let mut cf = replace(ds, protected, intervened)?;
         if adjust == AdjustStrategy::GroupMeanShift {
             for (fi, fname) in numeric_features.iter().enumerate() {
                 let values = ds.numeric(fname).map_err(|e| e.to_string())?;
                 let shifted: Vec<f64> = values
                     .iter()
-                    .zip(&codes)
+                    .zip(codes.iter())
                     .map(|(&v, &c)| {
                         v + level_means[fi][target as usize] - level_means[fi][c as usize]
                     })
                     .collect();
-                cf = replace_numeric(&cf, fname, shifted)?;
+                cf = replace(&cf, fname, Column::Numeric(shifted))?;
             }
         }
         let cf_scores = model.score_dataset(&cf)?;
@@ -165,16 +172,18 @@ pub fn counterfactual_fairness(
         .collect();
     let n_flipped = flipped.iter().filter(|&&f| f).count();
 
-    // Per-original-group flip rates.
-    let mut per_group = Vec::new();
-    for (li, level) in levels.iter().enumerate() {
-        let members: Vec<usize> = (0..n).filter(|&i| codes[i] as usize == li).collect();
-        if members.is_empty() {
-            continue;
-        }
-        let f = members.iter().filter(|&&i| flipped[i]).count() as f64 / members.len() as f64;
-        per_group.push((GroupKey(vec![level.clone()]), f));
+    // Per-original-group flip rates, in level order: (members, flipped).
+    let mut tallies = vec![(0usize, 0usize); n_levels];
+    for (&c, &f) in codes.iter().zip(&flipped) {
+        tallies[c as usize].0 += 1;
+        tallies[c as usize].1 += usize::from(f);
     }
+    let per_group = levels
+        .iter()
+        .zip(tallies)
+        .filter(|&(_, (members, _))| members > 0)
+        .map(|(level, (members, f))| (GroupKey(vec![level.clone()]), f as f64 / members as f64))
+        .collect();
 
     Ok(CounterfactualReport {
         n,
@@ -186,26 +195,11 @@ pub fn counterfactual_fairness(
     })
 }
 
-fn replace_categorical(
-    ds: &Dataset,
-    name: &str,
-    levels: &[String],
-    codes: Vec<u32>,
-) -> Result<Dataset, String> {
+/// `ds` with column `name` replaced by `column`, keeping its role.
+fn replace(ds: &Dataset, name: &str, column: Column) -> Result<Dataset, String> {
     let role = ds.schema().field(name).map_err(|e| e.to_string())?.role;
-    let col =
-        Column::categorical_from_codes(levels.to_vec(), codes, name).map_err(|e| e.to_string())?;
-    let dropped = ds.drop_column(name).map_err(|e| e.to_string())?;
-    dropped
-        .with_column(name, col, role)
-        .map_err(|e| e.to_string())
-}
-
-fn replace_numeric(ds: &Dataset, name: &str, values: Vec<f64>) -> Result<Dataset, String> {
-    let role = ds.schema().field(name).map_err(|e| e.to_string())?.role;
-    let dropped = ds.drop_column(name).map_err(|e| e.to_string())?;
-    dropped
-        .with_column(name, Column::Numeric(values), role)
+    ds.drop_column(name)
+        .and_then(|d| d.with_column(name, column, role))
         .map_err(|e| e.to_string())
 }
 
@@ -318,6 +312,44 @@ mod tests {
         let r = counterfactual_fairness(&model, &ds, "sex", AdjustStrategy::Identity).unwrap();
         assert_eq!(r.per_group.len(), 2);
         assert_eq!(r.individuals.len(), 40);
+    }
+
+    /// `ds` with `sex` replaced by a protected column `g` that is
+    /// boolean (`true` = code 1) or its `false`/`true` categorical
+    /// spelling.
+    fn respell(ds: &Dataset, boolean: bool) -> Dataset {
+        let (_, sex) = ds.categorical("sex").unwrap();
+        let column = if boolean {
+            Column::Boolean(sex.iter().map(|&c| c == 1).collect())
+        } else {
+            Column::Categorical {
+                levels: vec!["false".into(), "true".into()],
+                codes: sex.to_vec(),
+            }
+        };
+        ds.drop_column("sex")
+            .unwrap()
+            .with_column("g", column, Role::Protected)
+            .unwrap()
+    }
+
+    #[test]
+    fn boolean_protected_column_probes_like_its_categorical_spelling() {
+        let ds = proxy_dataset();
+        let model = train(&ds, false);
+        for strategy in [AdjustStrategy::Identity, AdjustStrategy::GroupMeanShift] {
+            let probe = |boolean: bool| {
+                counterfactual_fairness(&model, &respell(&ds, boolean), "g", strategy).unwrap()
+            };
+            assert_eq!(probe(true), probe(false), "{strategy:?}");
+        }
+        // A model that reads the boolean column itself still reads the
+        // intervened one: the probe writes it back as a boolean.
+        let direct = respell(&direct_dataset(), true);
+        let aware = train(&direct, true);
+        let report =
+            counterfactual_fairness(&aware, &direct, "g", AdjustStrategy::Identity).unwrap();
+        assert!(report.flip_rate > 0.9, "flip rate {}", report.flip_rate);
     }
 
     #[test]

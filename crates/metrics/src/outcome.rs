@@ -2,7 +2,7 @@
 //! attribute `A` bound together in the paper's Section III notation.
 
 use crate::accumulator::GroupAccumulator;
-use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec};
+use fairbridge_tabular::{Dataset, GroupIndex, GroupKey};
 
 /// A resolved view over one dataset's outcome columns.
 ///
@@ -26,8 +26,7 @@ impl Outcomes {
     pub fn from_dataset(ds: &Dataset, protected: &[&str]) -> Result<Outcomes, String> {
         let predictions = ds.predictions().map_err(|e| e.to_string())?.to_vec();
         let labels = ds.labels().ok().map(<[bool]>::to_vec);
-        let spec = GroupSpec::intersection(protected.to_vec());
-        let groups = GroupIndex::build(ds, &spec).map_err(|e| e.to_string())?;
+        let groups = GroupIndex::build(ds, protected).map_err(|e| e.to_string())?;
         Ok(Outcomes {
             predictions,
             labels,
@@ -42,8 +41,7 @@ impl Outcomes {
     /// the setting of the paper's Section III worked examples.
     pub fn from_labels_as_decisions(ds: &Dataset, protected: &[&str]) -> Result<Outcomes, String> {
         let predictions = ds.labels().map_err(|e| e.to_string())?.to_vec();
-        let spec = GroupSpec::intersection(protected.to_vec());
-        let groups = GroupIndex::build(ds, &spec).map_err(|e| e.to_string())?;
+        let groups = GroupIndex::build(ds, protected).map_err(|e| e.to_string())?;
         Ok(Outcomes {
             predictions,
             labels: None,
@@ -80,8 +78,7 @@ impl Outcomes {
             )
             .build()
             .map_err(|e| e.to_string())?;
-        let groups =
-            GroupIndex::build(&ds, &GroupSpec::single("group")).map_err(|e| e.to_string())?;
+        let groups = GroupIndex::build(&ds, &["group"]).map_err(|e| e.to_string())?;
         Ok(Outcomes {
             predictions: predictions.to_vec(),
             labels: labels.map(<[bool]>::to_vec),

@@ -22,7 +22,7 @@ use fairbridge_metrics::parity::{
 };
 use fairbridge_metrics::{from_accumulator, GroupAccumulator};
 use fairbridge_stats::rng::{Rng, StdRng};
-use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec, Role};
+use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, Role};
 
 const CASES: usize = 64;
 
@@ -377,7 +377,7 @@ fn conditional_definitions_match_the_bucket_oracle() {
     let mut rng = StdRng::seed_from_u64(0x3E_0A);
     for case in 0..CASES {
         let ds = stratified_dataset(&mut rng);
-        let index = |column: &str| GroupIndex::build(&ds, &GroupSpec::single(column)).unwrap();
+        let index = |column: &str| GroupIndex::build(&ds, &[column]).unwrap();
         let (strata, groups) = (index("s"), index("g"));
         for on_labels in [false, true] {
             let decisions = if on_labels {

@@ -7,7 +7,8 @@
 //! * [`reweigh()`] — Kamiran–Calders reweighing (paper ref \[8\]): instance
 //!   weights that make the protected attribute independent of the label;
 //! * [`massage`] — label massaging: minimally flip borderline labels until
-//!   the training labels satisfy parity;
+//!   the training labels satisfy parity, over any categorical or boolean
+//!   column whose rows fall into two non-empty groups;
 //! * [`suppress`] — attribute suppression incl. correlated proxies — the
 //!   "fairness through unawareness" strategy whose insufficiency Section
 //!   IV.B demonstrates (provided so experiments can demonstrate exactly
@@ -31,6 +32,14 @@
 //!   group barycenter, with partial-repair interpolation;
 //! * [`group_blind`] — repair *without the protected attribute*, using
 //!   only population marginals (paper refs \[13\], \[24\]).
+//!
+//! The mitigations define "the group" the way the audit they answer does:
+//! they partition rows with `fairbridge_tabular::GroupIndex`, count
+//! through `fairbridge_metrics::GroupAccumulator` (reweighing and
+//! massaging observe the labels as the decisions), and read a boolean
+//! protected column as the two levels `false`/`true`, like a categorical
+//! one. `reject_option::fit_margin` scores each candidate margin by the
+//! demographic-parity gap the audit reports.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -7,7 +7,8 @@
 //! ranker finds most ambiguous. Paper context: Section IV.A's "equal
 //! outcome" instruments acting on historical data.
 
-use fairbridge_tabular::{Column, Dataset, Role};
+use fairbridge_metrics::{GroupAccumulator, GroupCounts};
+use fairbridge_tabular::{Column, Dataset, GroupIndex, Role};
 
 /// The massaging result.
 #[derive(Debug, Clone)]
@@ -20,12 +21,13 @@ pub struct MassageResult {
     pub demoted: Vec<usize>,
 }
 
-/// Massages labels until the per-group positive rates of the two named
-/// groups are as close as flipping whole labels permits.
+/// Massages labels until the per-group positive rates of the two groups
+/// are as close as flipping whole labels permits.
 ///
 /// * `scores` ranks instances (higher = more deserving of +), typically
 ///   from a ranker trained on the biased data;
-/// * `protected` is a categorical column with the two-level group;
+/// * `protected` is a categorical or boolean column whose rows fall into
+///   exactly two non-empty groups;
 /// * the group with the lower positive rate receives promotions, the other
 ///   receives an equal number of demotions, so the overall positive count
 ///   is preserved (as in the original algorithm).
@@ -33,47 +35,31 @@ pub fn massage(ds: &Dataset, protected: &str, scores: &[f64]) -> Result<MassageR
     if scores.len() != ds.n_rows() {
         return Err("scores length must match dataset rows".to_owned());
     }
-    let labels = ds.labels().map_err(|e| e.to_string())?.to_vec();
-    let (levels, codes) = ds.categorical(protected).map_err(|e| e.to_string())?;
-    if levels.len() != 2 {
+    let labels = ds.labels().map_err(|e| e.to_string())?;
+    let groups = GroupIndex::build(ds, &[protected]).map_err(|e| e.to_string())?;
+    // Positives per group: the labels observed as the decisions.
+    let mut acc = GroupAccumulator::for_groups(&groups, false);
+    acc.observe_rows(&groups, 0..ds.n_rows(), labels, None);
+    let mut sides = acc.counts().iter().zip(groups.iter().map(|(_, rows)| rows));
+    let (Some(first), Some(second), None) = (sides.next(), sides.next(), sides.next()) else {
         return Err(format!(
-            "massage requires a two-level protected column, `{protected}` has {}",
-            levels.len()
+            "massage requires exactly two non-empty groups, `{protected}` has {}",
+            groups.n_groups()
         ));
-    }
-    let codes = codes.to_vec();
-
-    // Positive rates per group.
-    let stats = |code: u32| {
-        let members: Vec<usize> = (0..ds.n_rows()).filter(|&i| codes[i] == code).collect();
-        let pos = members.iter().filter(|&&i| labels[i]).count();
-        (members, pos)
     };
-    let (g0, pos0) = stats(0);
-    let (g1, pos1) = stats(1);
-    if g0.is_empty() || g1.is_empty() {
-        return Err("both groups must be non-empty".to_owned());
-    }
-    let rate0 = pos0 as f64 / g0.len() as f64;
-    let rate1 = pos1 as f64 / g1.len() as f64;
-    let (disadvantaged, advantaged) = if rate0 < rate1 {
-        (&g0, &g1)
+    let rate = |c: &GroupCounts| c.pred_pos as f64 / c.n as f64;
+    let ((d, d_rows), (a, a_rows)) = if rate(first.0) < rate(second.0) {
+        (first, second)
     } else {
-        (&g1, &g0)
+        (second, first)
     };
 
     // Number of flips M that best equalizes rates while preserving the
     // total positive count: promote M in the disadvantaged group, demote M
     // in the advantaged one. Choose M minimizing the absolute post-flip gap.
-    let nd = disadvantaged.len() as f64;
-    let na = advantaged.len() as f64;
-    let pd = disadvantaged.iter().filter(|&&i| labels[i]).count() as f64;
-    let pa = advantaged.iter().filter(|&&i| labels[i]).count() as f64;
-    let max_flips = disadvantaged
-        .iter()
-        .filter(|&&i| !labels[i])
-        .count()
-        .min(advantaged.iter().filter(|&&i| labels[i]).count());
+    let (nd, na) = (d.n as f64, a.n as f64);
+    let (pd, pa) = (d.pred_pos as f64, a.pred_pos as f64);
+    let max_flips = (d.n - d.pred_pos).min(a.pred_pos) as usize;
     let mut best_m = 0usize;
     let mut best_gap = ((pa / na) - (pd / nd)).abs();
     for m in 1..=max_flips {
@@ -85,20 +71,16 @@ pub fn massage(ds: &Dataset, protected: &str, scores: &[f64]) -> Result<MassageR
     }
 
     // Promotion candidates: disadvantaged, label −, by descending score.
-    let mut promo: Vec<usize> = disadvantaged
-        .iter()
-        .copied()
-        .filter(|&i| !labels[i])
-        .collect();
+    let mut promo: Vec<usize> = d_rows.iter().copied().filter(|&i| !labels[i]).collect();
     promo.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("NaN score"));
     // Demotion candidates: advantaged, label +, by ascending score.
-    let mut demo: Vec<usize> = advantaged.iter().copied().filter(|&i| labels[i]).collect();
+    let mut demo: Vec<usize> = a_rows.iter().copied().filter(|&i| labels[i]).collect();
     demo.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("NaN score"));
 
     let promoted: Vec<usize> = promo.into_iter().take(best_m).collect();
     let demoted: Vec<usize> = demo.into_iter().take(best_m).collect();
 
-    let mut new_labels = labels;
+    let mut new_labels = labels.to_vec();
     for &i in &promoted {
         new_labels[i] = true;
     }
@@ -228,5 +210,30 @@ mod tests {
             .build()
             .unwrap();
         assert!(massage(&multi, "g", &[0.1, 0.2, 0.3]).is_err());
+    }
+
+    #[test]
+    fn boolean_protected_column_massages_like_its_categorical_spelling() {
+        let (ds, scores) = biased();
+        let (_, sex) = ds.categorical("sex").unwrap();
+        let codes = sex.to_vec();
+        let spell = |column: Column| {
+            ds.drop_column("sex")
+                .unwrap()
+                .with_column("g", column, Role::Protected)
+                .unwrap()
+        };
+        let boolean = spell(Column::Boolean(codes.iter().map(|&c| c == 1).collect()));
+        let categorical = spell(Column::Categorical {
+            levels: vec!["false".into(), "true".into()],
+            codes,
+        });
+        let run = |ds: &Dataset| {
+            let r = massage(ds, "g", &scores).unwrap();
+            (r.promoted, r.demoted, r.dataset.labels().unwrap().to_vec())
+        };
+        let (promoted, demoted, labels) = run(&boolean);
+        assert_eq!(promoted.len(), 3);
+        assert_eq!((promoted, demoted, labels), run(&categorical));
     }
 }

@@ -12,7 +12,7 @@
 use fairbridge_stats::descriptive::quantile_sorted;
 use fairbridge_stats::distribution::Discrete;
 use fairbridge_stats::sinkhorn::par_sinkhorn;
-use fairbridge_tabular::{Column, Dataset, Role};
+use fairbridge_tabular::{Column, Dataset};
 
 /// Per-group sorted views used by the repair maps.
 #[derive(Debug, Clone)]
@@ -160,16 +160,19 @@ pub fn entropic_repair_plan(
 }
 
 /// Repairs the named numeric feature columns of a dataset toward the
-/// barycenter over the groups of `protected`, returning a new dataset.
+/// barycenter over the groups of `protected` (a categorical or boolean
+/// column, one group per level), returning a new dataset.
 pub fn repair_dataset(
     ds: &Dataset,
     protected: &str,
     features: &[&str],
     lambda: f64,
 ) -> Result<Dataset, String> {
-    let (levels, codes) = ds.categorical(protected).map_err(|e| e.to_string())?;
+    let (levels, codes) = ds
+        .column(protected)
+        .and_then(|c| c.as_coded(protected))
+        .map_err(|e| e.to_string())?;
     let n_groups = levels.len();
-    let codes = codes.to_vec();
     let mut out = ds.clone();
     for fname in features {
         let values = ds.numeric(fname).map_err(|e| e.to_string())?;
@@ -181,7 +184,6 @@ pub fn repair_dataset(
             .and_then(|d| d.with_column(fname, Column::Numeric(repaired), role))
             .map_err(|e| e.to_string())?;
     }
-    let _ = Role::Feature; // role preserved above
     Ok(out)
 }
 
@@ -291,6 +293,30 @@ mod tests {
             repaired.schema().field("score").unwrap().role,
             Role::Feature
         );
+    }
+
+    #[test]
+    fn boolean_protected_column_repairs_like_its_categorical_spelling() {
+        let (values, codes) = shifted();
+        let spell = |column: Column| {
+            Dataset::builder()
+                .numeric("score", values.clone())
+                .build()
+                .unwrap()
+                .with_column("g", column, Role::Protected)
+                .unwrap()
+        };
+        let boolean = spell(Column::Boolean(codes.iter().map(|&c| c == 1).collect()));
+        let categorical = spell(Column::Categorical {
+            levels: vec!["false".into(), "true".into()],
+            codes: codes.clone(),
+        });
+        let bits = |ds: &Dataset| -> Vec<u64> {
+            let repaired = repair_dataset(ds, "g", &["score"], 0.7).unwrap();
+            let values = repaired.numeric("score").unwrap();
+            values.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&boolean), bits(&categorical));
     }
 
     #[test]

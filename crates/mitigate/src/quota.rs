@@ -7,7 +7,7 @@
 //! members within each group — the equal-outcome instrument in its purest
 //! form.
 
-use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec};
+use fairbridge_tabular::{Dataset, GroupIndex, GroupKey};
 use std::collections::BTreeMap;
 
 /// Quota policy for one selection round.
@@ -50,8 +50,7 @@ pub fn quota_select(
     if capacity > ds.n_rows() {
         return Err("capacity exceeds number of candidates".to_owned());
     }
-    let groups = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
-        .map_err(|e| e.to_string())?;
+    let groups = GroupIndex::build(ds, protected).map_err(|e| e.to_string())?;
 
     // Guaranteed slots per group.
     let mut guaranteed: BTreeMap<GroupKey, usize> = BTreeMap::new();

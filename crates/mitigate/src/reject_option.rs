@@ -8,7 +8,9 @@
 //! the proportionality test of EU indirect-discrimination doctrine
 //! (Section II.A.3) cares about.
 
-use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec};
+use fairbridge_metrics::outcome::GapSummary;
+use fairbridge_metrics::GroupAccumulator;
+use fairbridge_tabular::{Dataset, GroupIndex, GroupKey};
 
 /// The reject-option rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,31 +51,34 @@ impl RejectOptionRule {
         protected: &[&str],
         scores: &[f64],
     ) -> Result<RejectOptionResult, String> {
-        if scores.len() != ds.n_rows() {
+        let groups = GroupIndex::build(ds, protected).map_err(|e| e.to_string())?;
+        self.apply_over(&groups, scores)
+    }
+
+    /// [`RejectOptionRule::apply`] over an already built partition.
+    fn apply_over(
+        &self,
+        groups: &GroupIndex,
+        scores: &[f64],
+    ) -> Result<RejectOptionResult, String> {
+        if scores.len() != groups.n_rows() {
             return Err("scores length must match dataset rows".to_owned());
         }
-        let groups = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
-            .map_err(|e| e.to_string())?;
-        let mut in_disadvantaged = vec![false; ds.n_rows()];
-        match groups.rows(&self.disadvantaged) {
-            Some(rows) => {
-                for &r in rows {
-                    in_disadvantaged[r] = true;
-                }
-            }
-            None => {
-                return Err(format!(
+        let disadvantaged = groups
+            .keys()
+            .binary_search(&self.disadvantaged)
+            .map_err(|_| {
+                format!(
                     "disadvantaged group {} not present in the data",
                     self.disadvantaged
-                ))
-            }
-        }
-        let mut decisions = Vec::with_capacity(ds.n_rows());
+                )
+            })?;
+        let mut decisions = Vec::with_capacity(scores.len());
         let mut changed = Vec::new();
         for (i, &s) in scores.iter().enumerate() {
             let base = s >= 0.5;
             let final_decision = if (s - 0.5).abs() < self.margin {
-                in_disadvantaged[i]
+                groups.group_of(i) == disadvantaged
             } else {
                 base
             };
@@ -87,9 +92,10 @@ impl RejectOptionRule {
 }
 
 /// Fits the smallest margin (from `candidates`) whose post-rule
-/// demographic-parity gap falls below `tolerance` on the calibration
-/// data. Returns the fitted rule, or the largest candidate if none
-/// reaches the tolerance (best effort).
+/// demographic-parity gap — the one the audit reports — falls below
+/// `tolerance` on the calibration data. Returns the fitted rule, or the
+/// candidate with the smallest gap if none reaches the tolerance (best
+/// effort).
 pub fn fit_margin(
     ds: &Dataset,
     protected: &[&str],
@@ -103,22 +109,7 @@ pub fn fit_margin(
     }
     let mut sorted = candidates.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN margin"));
-    let groups = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
-        .map_err(|e| e.to_string())?;
-
-    let gap_of = |decisions: &[bool]| -> f64 {
-        let mut rates = Vec::new();
-        for (_, rows) in groups.iter() {
-            if rows.is_empty() {
-                continue;
-            }
-            let pos = rows.iter().filter(|&&i| decisions[i]).count();
-            rates.push(pos as f64 / rows.len() as f64);
-        }
-        let max = rates.iter().cloned().fold(f64::MIN, f64::max);
-        let min = rates.iter().cloned().fold(f64::MAX, f64::min);
-        max - min
-    };
+    let groups = GroupIndex::build(ds, protected).map_err(|e| e.to_string())?;
 
     // Return the smallest margin meeting the tolerance; if none does,
     // fall back to the candidate with the smallest achieved gap (a larger
@@ -127,8 +118,10 @@ pub fn fit_margin(
     let mut best: Option<(f64, RejectOptionRule)> = None;
     for &margin in &sorted {
         let rule = RejectOptionRule::new(margin, disadvantaged.clone())?;
-        let result = rule.apply(ds, protected, scores)?;
-        let gap = gap_of(&result.decisions);
+        let result = rule.apply_over(&groups, scores)?;
+        let mut acc = GroupAccumulator::for_groups(&groups, false);
+        acc.observe_rows(&groups, 0..scores.len(), &result.decisions, None);
+        let gap = GapSummary::from_rates(&acc.selection_rates(), 0).gap;
         if gap <= tolerance {
             return Ok(rule);
         }

@@ -5,7 +5,8 @@
 //! label exactly independent: a weight-aware learner then sees a dataset
 //! in which group membership carries no label information.
 
-use fairbridge_tabular::{Column, Dataset, GroupIndex, GroupSpec, Role};
+use fairbridge_metrics::GroupAccumulator;
+use fairbridge_tabular::{Column, Dataset, GroupIndex, Role};
 
 /// The reweighing result.
 #[derive(Debug, Clone)]
@@ -45,39 +46,50 @@ pub struct ReweighResult {
 /// assert!((w.iter().sum::<f64>() - 8.0).abs() < 1e-9);
 /// ```
 pub fn reweigh(ds: &Dataset, protected: &[&str]) -> Result<ReweighResult, String> {
-    let labels = ds.labels().map_err(|e| e.to_string())?.to_vec();
+    let labels = ds.labels().map_err(|e| e.to_string())?;
     let n = ds.n_rows() as f64;
     if n == 0.0 {
         return Err("reweigh requires a non-empty dataset".to_owned());
     }
-    let groups = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
-        .map_err(|e| e.to_string())?;
+    let groups = GroupIndex::build(ds, protected).map_err(|e| e.to_string())?;
+    // The labels are observed as the decisions, so `pred_pos` counts each
+    // group's positive labels.
+    let mut acc = GroupAccumulator::for_groups(&groups, false);
+    acc.observe_rows(&groups, 0..ds.n_rows(), labels, None);
 
-    let p_pos = labels.iter().filter(|&&y| y).count() as f64 / n;
+    let p_pos = acc.counts().iter().map(|c| c.pred_pos).sum::<u64>() as f64 / n;
     let p_neg = 1.0 - p_pos;
 
-    let mut weights = vec![0.0f64; ds.n_rows()];
-    let mut cell_weights = Vec::new();
-    for (gi, (_, rows)) in groups.iter().enumerate() {
-        let p_group = rows.len() as f64 / n;
-        let pos_rows = rows.iter().filter(|&&i| labels[i]).count() as f64;
-        let neg_rows = rows.len() as f64 - pos_rows;
-        let w_pos = if pos_rows > 0.0 {
-            p_group * p_pos / (pos_rows / n)
-        } else {
-            0.0
-        };
-        let w_neg = if neg_rows > 0.0 {
-            p_group * p_neg / (neg_rows / n)
-        } else {
-            0.0
-        };
-        cell_weights.push((gi, false, w_neg));
-        cell_weights.push((gi, true, w_pos));
-        for &i in rows {
-            weights[i] = if labels[i] { w_pos } else { w_neg };
-        }
-    }
+    // Per group, the weights of its negative and positive cells.
+    let cells: Vec<[f64; 2]> = acc
+        .counts()
+        .iter()
+        .map(|c| {
+            let p_group = c.n as f64 / n;
+            let weight = |rows: f64, p: f64| {
+                if rows > 0.0 {
+                    p_group * p / (rows / n)
+                } else {
+                    0.0
+                }
+            };
+            let pos_rows = c.pred_pos as f64;
+            [
+                weight(c.n as f64 - pos_rows, p_neg),
+                weight(pos_rows, p_pos),
+            ]
+        })
+        .collect();
+    let weights = labels
+        .iter()
+        .enumerate()
+        .map(|(row, &y)| cells[groups.group_of(row)][usize::from(y)])
+        .collect();
+    let cell_weights = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(gi, &[w_neg, w_pos])| [(gi, false, w_neg), (gi, true, w_pos)])
+        .collect();
 
     let dataset = ds
         .with_column("reweigh_weight", Column::Numeric(weights), Role::Weight)

@@ -5,7 +5,7 @@
 //! Supported objectives: equal opportunity (match TPRs, Eq. 3) and
 //! demographic parity (match selection rates, Eq. 1).
 
-use fairbridge_tabular::{Dataset, GroupIndex, GroupKey, GroupSpec};
+use fairbridge_tabular::{Dataset, GroupIndex, GroupKey};
 use std::collections::BTreeMap;
 
 /// Which rate the per-group thresholds equalize.
@@ -46,8 +46,7 @@ impl GroupThresholds {
         if scores.len() != ds.n_rows() {
             return Err("scores length must match dataset rows".to_owned());
         }
-        let groups = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
-            .map_err(|e| e.to_string())?;
+        let groups = GroupIndex::build(ds, protected).map_err(|e| e.to_string())?;
         let labels: Option<Vec<bool>> = match objective {
             ThresholdObjective::EqualOpportunity => {
                 Some(ds.labels().map_err(|e| e.to_string())?.to_vec())
@@ -108,8 +107,7 @@ impl GroupThresholds {
         if scores.len() != ds.n_rows() {
             return Err("scores length must match dataset rows".to_owned());
         }
-        let groups = GroupIndex::build(ds, &GroupSpec::intersection(protected.to_vec()))
-            .map_err(|e| e.to_string())?;
+        let groups = GroupIndex::build(ds, protected).map_err(|e| e.to_string())?;
         let mut out = vec![false; ds.n_rows()];
         for (key, rows) in groups.iter() {
             let t = self

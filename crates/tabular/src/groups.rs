@@ -14,29 +14,6 @@ use crate::error::{Error, Result};
 use std::borrow::Cow;
 use std::fmt;
 
-/// Which columns to group by.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupSpec {
-    /// Names of the (categorical or boolean) columns defining groups.
-    pub columns: Vec<String>,
-}
-
-impl GroupSpec {
-    /// Groups by a single column.
-    pub fn single(column: &str) -> Self {
-        GroupSpec {
-            columns: vec![column.to_owned()],
-        }
-    }
-
-    /// Groups by the intersection of several columns.
-    pub fn intersection<S: Into<String>>(columns: Vec<S>) -> Self {
-        GroupSpec {
-            columns: columns.into_iter().map(Into::into).collect(),
-        }
-    }
-}
-
 /// A resolved group key: one level name per grouping column.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupKey(pub Vec<String>);
@@ -103,7 +80,8 @@ impl<'a> Ranked<'a> {
 }
 
 impl GroupIndex {
-    /// Builds the partition for `spec` over `ds`.
+    /// Builds the partition of `ds` by the named columns: one group per
+    /// combination of their levels that occurs.
     ///
     /// Boolean columns group through their coded view, as two-level
     /// categoricals. Numeric columns are rejected — bin them first.
@@ -113,14 +91,13 @@ impl GroupIndex {
     /// by group in [`GroupKey`] order with rows ascending inside each
     /// group. That costs O(columns · (rows + levels)): no table is ever
     /// sized by the product of the columns' level counts.
-    pub fn build(ds: &Dataset, spec: &GroupSpec) -> Result<GroupIndex> {
-        if spec.columns.is_empty() {
+    pub fn build(ds: &Dataset, columns: &[&str]) -> Result<GroupIndex> {
+        if columns.is_empty() {
             return Err(Error::Invalid(
-                "group spec must name at least one column".into(),
+                "grouping must name at least one column".into(),
             ));
         }
-        let columns = spec
-            .columns
+        let columns = columns
             .iter()
             .map(|name| Ranked::new(name, ds.column(name)?))
             .collect::<Result<Vec<_>>>()?;
@@ -257,7 +234,7 @@ mod tests {
     #[test]
     fn single_column_grouping() {
         let ds = sample();
-        let gi = GroupIndex::build(&ds, &GroupSpec::single("sex")).unwrap();
+        let gi = GroupIndex::build(&ds, &["sex"]).unwrap();
         assert_eq!(gi.n_groups(), 2);
         let male = gi.rows(&GroupKey(vec!["male".into()])).unwrap();
         assert_eq!(male, &[0, 1, 4]);
@@ -268,7 +245,7 @@ mod tests {
     #[test]
     fn intersectional_grouping() {
         let ds = sample();
-        let gi = GroupIndex::build(&ds, &GroupSpec::intersection(vec!["sex", "race"])).unwrap();
+        let gi = GroupIndex::build(&ds, &["sex", "race"]).unwrap();
         assert_eq!(gi.n_groups(), 4);
         let key = GroupKey(vec!["female".into(), "a".into()]);
         assert_eq!(gi.rows(&key).unwrap(), &[2, 5]);
@@ -278,7 +255,7 @@ mod tests {
     #[test]
     fn boolean_columns_group_as_two_levels() {
         let ds = sample();
-        let gi = GroupIndex::build(&ds, &GroupSpec::single("hired")).unwrap();
+        let gi = GroupIndex::build(&ds, &["hired"]).unwrap();
         assert_eq!(gi.n_groups(), 2);
         assert_eq!(gi.rows(&GroupKey(vec!["true".into()])).unwrap(), &[0, 2, 4]);
     }
@@ -286,13 +263,13 @@ mod tests {
     #[test]
     fn numeric_columns_rejected() {
         let ds = sample();
-        assert!(GroupIndex::build(&ds, &GroupSpec::single("exp")).is_err());
+        assert!(GroupIndex::build(&ds, &["exp"]).is_err());
     }
 
     #[test]
     fn proportions_sum_to_one() {
         let ds = sample();
-        let gi = GroupIndex::build(&ds, &GroupSpec::single("sex")).unwrap();
+        let gi = GroupIndex::build(&ds, &["sex"]).unwrap();
         let total: f64 = gi.proportions().iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
@@ -300,10 +277,7 @@ mod tests {
     #[test]
     fn empty_spec_rejected() {
         let ds = sample();
-        let spec = GroupSpec {
-            columns: Vec::new(),
-        };
-        assert!(GroupIndex::build(&ds, &spec).is_err());
+        assert!(GroupIndex::build(&ds, &[]).is_err());
     }
 
     #[test]
@@ -320,7 +294,7 @@ mod tests {
             .boolean_with_role("y", vec![true; 5], Role::Label)
             .build()
             .unwrap();
-        let gi = GroupIndex::build(&ds, &GroupSpec::single("g")).unwrap();
+        let gi = GroupIndex::build(&ds, &["g"]).unwrap();
         assert_eq!(gi.n_groups(), 2);
         assert_eq!(gi.rows(&GroupKey(vec!["a".into()])).unwrap(), &[0, 2, 3, 4]);
         assert_eq!(gi.rows(&GroupKey(vec!["b".into()])).unwrap(), &[1]);

@@ -56,6 +56,6 @@ pub use bitset::RowMask;
 pub use column::Column;
 pub use dataset::{Dataset, DatasetBuilder};
 pub use error::{Error, Result, TabularError};
-pub use groups::{GroupIndex, GroupKey, GroupSpec};
+pub use groups::{GroupIndex, GroupKey};
 pub use schema::{FieldMeta, Role, Schema};
 pub use value::{DType, Value};

@@ -2,7 +2,7 @@
 //! workspace's deterministic PRNG (no proptest: the build is offline).
 
 use fairbridge_stats::rng::{Rng, StdRng};
-use fairbridge_tabular::{io, Column, Dataset, GroupIndex, GroupKey, GroupSpec, Role};
+use fairbridge_tabular::{io, Column, Dataset, GroupIndex, GroupKey, Role};
 use std::collections::BTreeMap;
 
 /// A small random dataset with one categorical (protected), one numeric,
@@ -135,7 +135,8 @@ fn groups_partition_rows() {
     let mut rng = StdRng::seed_from_u64(0xD5_03);
     for case in 0..CASES {
         let (ds, columns) = grouping_dataset(&mut rng, case);
-        let gi = GroupIndex::build(&ds, &GroupSpec::intersection(columns.clone())).unwrap();
+        let names: Vec<&str> = columns.iter().map(String::as_str).collect();
+        let gi = GroupIndex::build(&ds, &names).unwrap();
         let total: usize = gi.sizes().iter().sum();
         assert_eq!(total, ds.n_rows());
         if ds.n_rows() > 0 {
