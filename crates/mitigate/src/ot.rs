@@ -161,7 +161,8 @@ pub fn entropic_repair_plan(
 
 /// Repairs the named numeric feature columns of a dataset toward the
 /// barycenter over the groups of `protected` (a categorical or boolean
-/// column, one group per level), returning a new dataset.
+/// column, one group per level that some row has), returning a new
+/// dataset.
 pub fn repair_dataset(
     ds: &Dataset,
     protected: &str,
@@ -172,12 +173,28 @@ pub fn repair_dataset(
         .column(protected)
         .and_then(|c| c.as_coded(protected))
         .map_err(|e| e.to_string())?;
-    let n_groups = levels.len();
+    // A level only the dictionary names is no group, as in `reweigh` and
+    // `/audit`. The present levels keep their code order, so with every
+    // level present the group ids are the codes.
+    let mut present = vec![false; levels.len()];
+    for &c in codes.iter() {
+        present[c as usize] = true;
+    }
+    let group_of_level: Vec<u32> = present
+        .iter()
+        .scan(0u32, |next, &p| {
+            let id = *next;
+            *next += u32::from(p);
+            Some(id)
+        })
+        .collect();
+    let groups: Vec<u32> = codes.iter().map(|&c| group_of_level[c as usize]).collect();
+    let n_groups = present.iter().filter(|&&p| p).count();
     let mut out = ds.clone();
     for fname in features {
         let values = ds.numeric(fname).map_err(|e| e.to_string())?;
-        let repairer = QuantileRepairer::fit(values, &codes, n_groups)?;
-        let repaired = repairer.repair_all(values, &codes, lambda);
+        let repairer = QuantileRepairer::fit(values, &groups, n_groups)?;
+        let repaired = repairer.repair_all(values, &groups, lambda);
         let role = ds.schema().field(fname).map_err(|e| e.to_string())?.role;
         out = out
             .drop_column(fname)
@@ -317,6 +334,36 @@ mod tests {
             values.iter().map(|v| v.to_bits()).collect()
         };
         assert_eq!(bits(&boolean), bits(&categorical));
+    }
+
+    /// A dictionary level that no row has is no group: the repair equals
+    /// the one over the dictionary without it, as `reweigh` accepts it.
+    #[test]
+    fn repair_skips_a_level_no_row_has() {
+        let spell = |levels: Vec<&str>, codes: Vec<u32>| {
+            Dataset::builder()
+                .categorical_with_role("g", levels, codes, Role::Protected)
+                .numeric("x", vec![1.0, 5.0, 2.0, 7.0])
+                .boolean_with_role("y", vec![true, false, true, false], Role::Label)
+                .build()
+                .unwrap()
+        };
+        let bits = |ds: &Dataset| -> Vec<u64> {
+            let repaired = repair_dataset(ds, "g", &["x"], 1.0).unwrap();
+            let values = repaired.numeric("x").unwrap();
+            values.iter().map(|v| v.to_bits()).collect()
+        };
+        let with_unused = spell(vec!["a", "b", "c"], vec![0, 1, 0, 1]);
+        assert!(crate::reweigh(&with_unused, &["g"]).is_ok());
+        assert_eq!(
+            bits(&with_unused),
+            bits(&spell(vec!["a", "b"], vec![0, 1, 0, 1]))
+        );
+        // An unused level between two used ones keeps the others' order.
+        assert_eq!(
+            bits(&spell(vec!["a", "c", "b"], vec![0, 2, 0, 2])),
+            bits(&spell(vec!["a", "b"], vec![0, 1, 0, 1]))
+        );
     }
 
     #[test]

@@ -235,7 +235,10 @@ pub struct FeatureAssociation {
 /// through [`fairbridge_tabular::Column::coded`]. A coded feature scores
 /// Cramér's V and NMI of its (protected × feature) table; a numeric one
 /// scores the largest |point-biserial| against any protected level's
-/// indicator.
+/// indicator. That score is computed in one fused pass over the rows
+/// per feature (per pair of levels, after summing the feature), with no
+/// indicator vector, and equals the [`point_biserial`] fold over the
+/// levels bit for bit.
 pub fn association_ranking(
     ds: &Dataset,
     protected: &str,
@@ -245,6 +248,9 @@ pub fn association_ranking(
         .and_then(|c| c.as_coded(protected))
         .map_err(|e| e.to_string())?;
     let k = p_levels.len();
+    let level_counts: Vec<usize> = (0..k as u32)
+        .map(|level| p_codes.iter().filter(|&&c| c == level).count())
+        .collect();
     let mut out = Vec::new();
     for meta in ds.schema().fields() {
         if meta.role != Role::Feature {
@@ -258,13 +264,10 @@ pub fn association_ranking(
             }
             None => {
                 let values = col.as_numeric(&meta.name).map_err(|e| e.to_string())?;
-                let a = (0..k)
-                    .map(|level| {
-                        let ind: Vec<bool> = p_codes.iter().map(|&c| c as usize == level).collect();
-                        point_biserial(values, &ind).abs()
-                    })
-                    .fold(0.0f64, f64::max);
-                (a, f64::NAN)
+                (
+                    max_point_biserial(values, &p_codes, &level_counts),
+                    f64::NAN,
+                )
             }
         };
         out.push(FeatureAssociation {
@@ -280,6 +283,91 @@ pub fn association_ranking(
             .expect("NaN association")
     });
     Ok(out)
+}
+
+/// `max` over the levels of |[`point_biserial`]| between `x` and the
+/// level's indicator, where `level_counts[l]` counts the rows with
+/// `codes == l`.
+///
+/// Bit for bit the per-level `point_biserial` fold, in a `Σx` pass and
+/// one pass per pair of levels instead of two vectors and three passes
+/// per level. Every accumulator sees exactly `pearson`'s operands in
+/// row order: `Σx` is summed as `pearson` sums it, a level's mean is
+/// `count / n` (the sum of its 0.0/1.0 indicator is that count exactly),
+/// and `Σ(x − mx)²` rides along the first pass only.
+fn max_point_biserial(x: &[f64], codes: &[u32], level_counts: &[usize]) -> f64 {
+    assert_eq!(x.len(), codes.len(), "point-biserial: length mismatch");
+    if x.is_empty() {
+        return 0.0;
+    }
+    let n = x.len() as f64;
+    let mx = x.iter().sum::<f64>() / n;
+    let levels: Vec<(u32, f64)> = (0u32..)
+        .zip(level_counts)
+        .map(|(code, &count)| (code, count as f64 / n))
+        .collect();
+    let mut sums = Vec::with_capacity(levels.len());
+    let (sxx, rest) = match levels.as_slice() {
+        [] => return 0.0,
+        &[a] => (co_moments::<1, true>(x, codes, mx, [a], &mut sums), &[][..]),
+        &[a, b, ref rest @ ..] => (co_moments::<2, true>(x, codes, mx, [a, b], &mut sums), rest),
+    };
+    let mut pairs = rest.chunks_exact(2);
+    for pair in pairs.by_ref() {
+        if let &[a, b] = pair {
+            co_moments::<2, false>(x, codes, mx, [a, b], &mut sums);
+        }
+    }
+    if let &[a] = pairs.remainder() {
+        co_moments::<1, false>(x, codes, mx, [a], &mut sums);
+    }
+    sums.iter()
+        .map(|&(sxy, syy)| {
+            let r = if sxx == 0.0 || syy == 0.0 {
+                0.0
+            } else {
+                (sxy / (sxx * syy).sqrt()).clamp(-1.0, 1.0)
+            };
+            r.abs()
+        })
+        .fold(0.0f64, f64::max)
+}
+
+/// One pass over the rows for `W` levels given as `(code, mean)`: pushes
+/// each level's row-order `(Σ(x − mx)(y − my), Σ(y − my)²)` of its 0/1
+/// indicator `y` onto `sums`, and returns `Σ(x − mx)²` when `SXX` (else
+/// 0).
+///
+/// `y − my` and its square come from two-entry tables, selected by
+/// integer arithmetic: `(c ^ l) − 1` wraps to a set top bit only when
+/// `c == l`. Indexing by `usize::from(c == l)` or selecting with
+/// `if c == l` leaves LLVM free to emit a branch per row, which random
+/// codes mispredict (DESIGN.md §17).
+fn co_moments<const W: usize, const SXX: bool>(
+    x: &[f64],
+    codes: &[u32],
+    mx: f64,
+    levels: [(u32, f64); W],
+    sums: &mut Vec<(f64, f64)>,
+) -> f64 {
+    let dy = levels.map(|(_, my)| [0.0 - my, 1.0 - my]);
+    let dy2 = dy.map(|d| d.map(|v: f64| v.powi(2)));
+    let mut sxx = 0.0;
+    let mut sxy = [0.0; W];
+    let mut syy = [0.0; W];
+    for (&a, &c) in x.iter().zip(codes) {
+        let dx = a - mx;
+        if SXX {
+            sxx += dx.powi(2);
+        }
+        for l in 0..W {
+            let hit = (u64::from(c ^ levels[l].0).wrapping_sub(1) >> 63) as usize;
+            sxy[l] += dx * dy[l][hit];
+            syy[l] += dy2[l][hit];
+        }
+    }
+    sums.extend(sxy.into_iter().zip(syy));
+    sxx
 }
 
 /// Log-probability of a 2×2 table under the hypergeometric null, used by

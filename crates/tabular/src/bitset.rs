@@ -18,6 +18,12 @@
 //! are always zero, so `count_ones` never over-counts. Every
 //! constructor and mutator maintains this.
 
+/// The most levels [`RowMask::level_masks`] builds through a per-chunk
+/// scratch. Its write-back costs one word per level per 64 rows, which
+/// outgrows the one-write-per-row scatter at about 50–64 levels (measured
+/// at 100k rows: half the scatter's time at 2–10 levels, 1.8× it at 200).
+const DENSE_LEVELS: usize = 32;
+
 /// A fixed-width set of row indices backed by packed `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowMask {
@@ -47,14 +53,28 @@ impl RowMask {
     }
 
     /// A mask selecting the rows where `flags` is `true`.
+    ///
+    /// Each 64-row word is built in registers with no per-row branch:
+    /// eight flags to a byte, then eight bytes to a word (packing
+    /// straight into a `u64` compiled to code half as fast). The tail of
+    /// the last word stays zero.
     pub fn from_bools(flags: &[bool]) -> RowMask {
-        let mut mask = RowMask::zeros(flags.len());
-        for (i, &f) in flags.iter().enumerate() {
-            if f {
-                mask.set(i);
-            }
+        let byte = |eight: &[bool]| {
+            eight
+                .iter()
+                .enumerate()
+                .fold(0u8, |b, (i, &f)| b | u8::from(f) << i)
+        };
+        let word = |chunk: &[bool]| {
+            chunk
+                .chunks(8)
+                .enumerate()
+                .fold(0u64, |w, (j, eight)| w | u64::from(byte(eight)) << (8 * j))
+        };
+        RowMask {
+            words: flags.chunks(64).map(word).collect(),
+            n_bits: flags.len(),
         }
-        mask
     }
 
     /// One mask per level: `masks[l]` selects the rows where
@@ -65,8 +85,29 @@ impl RowMask {
     /// validate codes at construction).
     pub fn level_masks(codes: &[u32], n_levels: usize) -> Vec<RowMask> {
         let mut masks = vec![RowMask::zeros(codes.len()); n_levels];
-        for (row, &code) in codes.iter().enumerate() {
-            masks[code as usize].set(row);
+        if n_levels > DENSE_LEVELS {
+            for (row, &code) in codes.iter().enumerate() {
+                masks[code as usize].set(row);
+            }
+            return masks;
+        }
+        // Each 64-row chunk is ORed into one scratch word per level, then
+        // every level's word is written out. Even and odd rows go to
+        // separate words: a run of equal codes would otherwise chain
+        // each read-modify-write on the one before it.
+        let (mut even, mut odd) = (vec![0u64; n_levels], vec![0u64; n_levels]);
+        for (j, chunk) in codes.chunks(64).enumerate() {
+            let mut pairs = chunk.chunks_exact(2);
+            for (i, pair) in pairs.by_ref().enumerate() {
+                even[pair[0] as usize] |= 1u64 << (2 * i);
+                odd[pair[1] as usize] |= 1u64 << (2 * i + 1);
+            }
+            if let [last] = pairs.remainder() {
+                even[*last as usize] |= 1u64 << (chunk.len() - 1);
+            }
+            for ((mask, e), o) in masks.iter_mut().zip(&mut even).zip(&mut odd) {
+                mask.words[j] = std::mem::take(e) | std::mem::take(o);
+            }
         }
         masks
     }
