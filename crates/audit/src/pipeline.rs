@@ -394,6 +394,41 @@ mod tests {
         assert_eq!(format!("{report:?}"), format!("{:?}", run(&as_cat)));
     }
 
+    /// `min_group_size: 0` with an empty depth-2 intersection (no row is
+    /// `g=a ∧ h=y`) runs, and its subgroups are those of bound 1.
+    #[test]
+    fn min_group_size_zero_with_an_empty_intersection_runs() {
+        let labels = vec![true, true, false, false, true, false, false, true];
+        let ds = Dataset::builder()
+            .categorical_with_role(
+                "g",
+                vec!["a", "b"],
+                vec![0, 0, 0, 1, 1, 1, 1, 1],
+                Role::Protected,
+            )
+            .categorical_with_role(
+                "h",
+                vec!["x", "y"],
+                vec![0, 0, 0, 0, 1, 1, 0, 1],
+                Role::Protected,
+            )
+            .boolean_with_role("hired", labels, Role::Label)
+            .build()
+            .unwrap();
+        let run = |min_group_size| {
+            AuditPipeline::new(AuditConfig {
+                min_group_size,
+                alpha: 1.0,
+                ..AuditConfig::default()
+            })
+            .run(&ds, &["g", "h"], true)
+            .unwrap()
+        };
+        let report = run(0);
+        assert!(!report.subgroups.is_empty());
+        assert_eq!(report.subgroups, run(1).subgroups);
+    }
+
     #[test]
     fn pipeline_catches_gerrymandering_with_depth_two() {
         let mut rng = StdRng::seed_from_u64(93);

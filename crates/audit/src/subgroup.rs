@@ -9,30 +9,27 @@
 //!   attaches a two-proportion z-test p-value (Section IV.C's warning
 //!   that sparse-subgroup findings need significance checks). Complexity
 //!   grows exponentially in depth — the paper's "computational issues
-//!   arise when trying to drill down" — hence the depth/support bounds,
-//!   and hence the **bitset lattice engine** behind it: per-`(column,
-//!   level)` row masks are precomputed once ([`RowMask::level_masks`]),
-//!   every lattice node is an AND of its parent's mask with one level
-//!   mask, the positive count inside a node is a fused AND+popcount
-//!   against a single decisions mask ([`RowMask::count_and`]), children
-//!   of under-support nodes are never generated (Apriori-style
-//!   anti-monotone pruning — support can only shrink under conjunction),
-//!   and the top level of the lattice fans out over worker threads with
-//!   a deterministic seed-order merge
-//!   ([`fairbridge_tabular::par::ordered_parallel_map`]), so output is
-//!   bitwise-identical for every thread count.
+//!   arise when trying to drill down" — hence the depth/support bounds.
+//!   A finding depends on four integers only (the node's size and
+//!   positives, the row count and the total positives), so the walk
+//!   reads a **count table** keyed by the audited columns' level codes,
+//!   built in one row pass: a node's size and positives are sums over
+//!   its cells, its children on a column are one bucketing of its cells
+//!   by code, and children of under-support nodes are never generated
+//!   (Apriori-style anti-monotone pruning — support can only shrink
+//!   under conjunction).
 //! * [`tree_audit`] — **learned**: fits a shallow decision tree to the
 //!   decisions over the audit columns and reads disparate regions off the
 //!   leaves; scales past the exhaustive regime at the cost of
 //!   completeness.
 //!
-//! The pre-bitset row-list implementation is the reference oracle of
-//! the equivalence suite in `crates/audit/tests/prop_audit.rs`, which
+//! A row-list implementation is the reference oracle of the
+//! equivalence suite in `crates/audit/tests/prop_audit.rs`, which
 //! checks this auditor against it finding for finding.
 //!
 //! With telemetry attached (see [`SubgroupAuditor::audit_observed`]) an
 //! audit leaves an evidential trail: a `subgroup_audit_started` event, a
-//! `subgroup.seed` span per top-level subtree, and the
+//! `subgroup.audit` span, and the
 //! `subgroup.nodes_visited` / `subgroup.nodes_pruned` /
 //! `subgroup.findings` counters — the record that the lattice really was
 //! searched exhaustively down to the declared support bound, which is
@@ -42,17 +39,8 @@ use fairbridge_learn::tree::TreeTrainer;
 use fairbridge_learn::{EncoderConfig, FeatureEncoder};
 use fairbridge_obs::{FairnessEvent, Telemetry};
 use fairbridge_stats::hypothesis::two_proportion_z;
-use fairbridge_tabular::par::{ordered_parallel_map, size_aware_workers};
-use fairbridge_tabular::{Column, Dataset, RowMask};
+use fairbridge_tabular::{Column, Dataset};
 use std::borrow::Cow;
-
-/// Work-unit floor per lattice worker, where one unit is one row
-/// touched by one seed subtree (`rows × seeds` total), sized from
-/// `BENCH_subgroup.json`, where `bitset_parallel` at depths 2–3 lost to
-/// the serial bitset scan at benchmark size: the per-node AND+popcount
-/// is so cheap (word-parallel over `rows / 64` words) that fan-out only
-/// pays once the mask passes themselves are long.
-pub const SEED_MIN_UNITS_PER_WORKER: usize = 1 << 18;
 
 /// One audited subgroup.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +77,8 @@ pub struct SubgroupAuditor {
     pub max_depth: usize,
     /// Minimum subgroup size to report — also the anti-monotone pruning
     /// bound: no descendant of an under-support node is ever generated.
+    /// An empty subgroup is never tested, so the bound in effect is
+    /// `max(min_support, 1)`.
     pub min_support: usize,
     /// Significance level for the z-test filter (1.0 disables filtering).
     pub alpha: f64,
@@ -112,7 +102,8 @@ struct ColumnView<'a> {
     codes: Cow<'a, [u32]>,
 }
 
-/// Coded views of the audited columns.
+/// Coded views of the audited columns, each code checked against its
+/// dictionary (the count table's cell ids rely on it).
 fn build_views<'a>(ds: &'a Dataset, columns: &[&'a str]) -> Result<Vec<ColumnView<'a>>, String> {
     columns
         .iter()
@@ -121,6 +112,14 @@ fn build_views<'a>(ds: &'a Dataset, columns: &[&'a str]) -> Result<Vec<ColumnVie
             let (levels, codes) = col.coded().ok_or_else(|| {
                 format!("column `{name}` is numeric; bin it before subgroup auditing")
             })?;
+            // A fold of `code >= n_levels` flags: no per-row branch.
+            let n_levels = u32::try_from(levels.len()).unwrap_or(u32::MAX);
+            if codes.iter().fold(false, |bad, &c| bad | (c >= n_levels)) {
+                return Err(format!(
+                    "column `{name}` has a code outside its {} levels",
+                    levels.len()
+                ));
+            }
             Ok(ColumnView {
                 name,
                 levels,
@@ -130,88 +129,193 @@ fn build_views<'a>(ds: &'a Dataset, columns: &[&'a str]) -> Result<Vec<ColumnVie
         .collect()
 }
 
-/// A finding before its conditions are rendered: interned `(column
-/// index, level code)` pairs only — level strings are resolved once per
-/// *reported* finding, never per lattice node.
-struct RawFinding {
-    conds: Vec<(usize, u32)>,
-    size: usize,
-    rate: f64,
-    complement_rate: f64,
-    gap: f64,
-    p_value: f64,
+/// Rows per chunk of cell ids in the dense table's row pass.
+const ID_CHUNK: usize = 256;
+
+/// How many rows, and how many positive decisions, each cell holds.
+enum Tallies<'a> {
+    /// One cell per row: one row, positive iff its decision is.
+    Rows(&'a [bool]),
+    /// `(rows, positives)` per cell.
+    Counts(Vec<(usize, usize)>),
 }
 
-/// Per-seed enumeration statistics, merged into the obs counters.
-#[derive(Default, Clone, Copy)]
-struct SeedStats {
-    /// Lattice nodes whose mask was materialized and evaluated.
-    visited: u64,
-    /// Materialized nodes under `min_support` whose subtree was
-    /// abandoned (the anti-monotone prune).
-    pruned: u64,
+/// The audited rows grouped by their level-code tuple: cell `i` has
+/// code `codes[c][i]` on audited column `c`.
+struct CountTable<'a> {
+    codes: Vec<Cow<'a, [u32]>>,
+    tallies: Tallies<'a>,
 }
 
-/// Shared read-only state of one lattice enumeration.
-struct Lattice<'a> {
+impl<'a> CountTable<'a> {
+    /// One cell per occurring code tuple when the product of the level
+    /// counts is at most the row count, so the dense table is never
+    /// larger than the rows it sums (and its ids fit a `u32`); otherwise
+    /// one cell per row, borrowing the coded views and the decisions.
+    fn build(views: &'a [ColumnView<'a>], decisions: &'a [bool]) -> CountTable<'a> {
+        let cells = views
+            .iter()
+            .try_fold(1usize, |p, v| p.checked_mul(v.levels.len()))
+            .filter(|&p| p <= decisions.len() && u32::try_from(2 * p).is_ok());
+        let Some(cells) = cells else {
+            return CountTable {
+                codes: views.iter().map(|v| Cow::Borrowed(&*v.codes)).collect(),
+                tallies: Tallies::Rows(decisions),
+            };
+        };
+        // Mixed-radix cell id, the first column most significant so ids
+        // run in code-tuple order, with the decision as a last binary
+        // digit: `dense[2·id + d]` counts the cell's rows with decision
+        // `d`. Ids are computed a column at a time over a fixed chunk of
+        // rows, then counted.
+        let mut strides = vec![2u32; views.len()];
+        for c in (1..views.len()).rev() {
+            strides[c - 1] = strides[c] * views[c].levels.len() as u32;
+        }
+        let mut dense = vec![0usize; 2 * cells];
+        let mut ids = [0u32; ID_CHUNK];
+        for (start, chunk) in (0..).step_by(ID_CHUNK).zip(decisions.chunks(ID_CHUNK)) {
+            let ids = &mut ids[..chunk.len()];
+            for (id, &d) in ids.iter_mut().zip(chunk) {
+                *id = u32::from(d);
+            }
+            for (v, &stride) in views.iter().zip(&strides) {
+                for (id, &code) in ids.iter_mut().zip(&v.codes[start..]) {
+                    *id += code * stride;
+                }
+            }
+            for &id in ids.iter() {
+                dense[id as usize] += 1;
+            }
+        }
+        let mut codes = vec![Vec::new(); views.len()];
+        let mut counts = Vec::new();
+        let negatives = dense.iter().step_by(2);
+        let positives = dense.iter().skip(1).step_by(2);
+        for (id, (&neg, &pos)) in negatives.zip(positives).enumerate() {
+            if neg + pos == 0 {
+                continue;
+            }
+            let mut rest = id;
+            for (c, v) in views.iter().enumerate().rev() {
+                codes[c].push((rest % v.levels.len()) as u32);
+                rest /= v.levels.len();
+            }
+            counts.push((neg + pos, pos));
+        }
+        CountTable {
+            codes: codes.into_iter().map(Cow::Owned).collect(),
+            tallies: Tallies::Counts(counts),
+        }
+    }
+
+    /// All cells, as the root node of the walk.
+    fn all_cells(&self) -> Vec<usize> {
+        let n_cells = match &self.tallies {
+            Tallies::Rows(decisions) => decisions.len(),
+            Tallies::Counts(counts) => counts.len(),
+        };
+        (0..n_cells).collect()
+    }
+
+    /// A node's `(size, positives)`: sums over its cells.
+    fn tally(&self, cells: &[usize]) -> (usize, usize) {
+        match &self.tallies {
+            Tallies::Rows(decisions) => (
+                cells.len(),
+                cells.iter().map(|&i| usize::from(decisions[i])).sum(),
+            ),
+            Tallies::Counts(counts) => cells.iter().fold((0, 0), |(size, pos), &i| {
+                (size + counts[i].0, pos + counts[i].1)
+            }),
+        }
+    }
+
+    /// Counting sort of `cells` by their code on column `c`: level `l`'s
+    /// cells are `order[starts[l]..starts[l + 1]]`.
+    fn bucket(&self, cells: &[usize], c: usize, n_levels: usize) -> (Vec<usize>, Vec<usize>) {
+        let codes = &self.codes[c];
+        let mut starts = vec![0; n_levels + 1];
+        for &cell in cells {
+            starts[codes[cell] as usize + 1] += 1;
+        }
+        for l in 0..n_levels {
+            starts[l + 1] += starts[l];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0; cells.len()];
+        for &cell in cells {
+            let slot = &mut next[codes[cell] as usize];
+            order[*slot] = cell;
+            *slot += 1;
+        }
+        (starts, order)
+    }
+}
+
+/// One lattice enumeration over a [`CountTable`].
+struct Walk<'a> {
     views: &'a [ColumnView<'a>],
-    /// `masks[ci][lv]` selects the rows with `views[ci].codes == lv`.
-    masks: &'a [Vec<RowMask>],
-    decisions: &'a RowMask,
+    table: &'a CountTable<'a>,
     n: usize,
     total_pos: usize,
     max_depth: usize,
+    /// `max(min_support, 1)`: an empty node is never tested.
     min_support: usize,
     alpha: f64,
+    findings: Vec<SubgroupFinding>,
+    /// Lattice nodes evaluated.
+    visited: u64,
+    /// Evaluated nodes under support whose subtree was abandoned (the
+    /// anti-monotone prune).
+    pruned: u64,
 }
 
-impl Lattice<'_> {
-    /// Enumerates the subtree rooted at seed condition `(ci, level)`.
-    fn explore_seed(&self, ci: usize, level: u32) -> (Vec<RawFinding>, SeedStats) {
-        let mut out = Vec::new();
-        let mut stats = SeedStats::default();
-        // One scratch mask per additional conjunct, reused across the
-        // whole subtree: the engine allocates max_depth-1 masks per
-        // seed, not one row list per node.
-        let mut scratch: Vec<RowMask> = (1..self.max_depth)
-            .map(|_| RowMask::zeros(self.n))
-            .collect();
-        let mut conds = vec![(ci, level)];
-        self.dfs(
-            &self.masks[ci][level as usize],
-            ci,
-            &mut conds,
-            &mut scratch,
-            &mut out,
-            &mut stats,
-        );
-        (out, stats)
+impl Walk<'_> {
+    /// Visits the children of the node `cells` (conditions `conds`) on
+    /// every column from `first` on, each column's levels in code order —
+    /// empty ones included.
+    fn extend(&mut self, cells: &[usize], first: usize, conds: &mut Vec<(usize, u32)>) {
+        for ci in first..self.views.len() {
+            let n_levels = self.views[ci].levels.len();
+            let (starts, order) = self.table.bucket(cells, ci, n_levels);
+            for level in 0..n_levels {
+                conds.push((ci, level as u32));
+                self.visit(&order[starts[level]..starts[level + 1]], ci, conds);
+                conds.pop();
+            }
+        }
     }
 
-    /// Depth-first walk: evaluate the node, then extend it with every
-    /// level of every later column — unless its support already fell
-    /// below the bound, in which case no child is ever materialized.
-    fn dfs(
-        &self,
-        mask: &RowMask,
-        last_ci: usize,
-        conds: &mut Vec<(usize, u32)>,
-        scratch: &mut [RowMask],
-        out: &mut Vec<RawFinding>,
-        stats: &mut SeedStats,
-    ) {
-        stats.visited += 1;
-        let size = mask.count_ones();
-        if size >= self.min_support && size < self.n {
-            let pos = mask.count_and(self.decisions);
+    /// Depth-first: evaluate the node, then extend it with every level
+    /// of every later column — unless its support already fell below
+    /// the bound, in which case no child is ever generated.
+    fn visit(&mut self, cells: &[usize], ci: usize, conds: &mut Vec<(usize, u32)>) {
+        self.visited += 1;
+        let (size, pos) = self.table.tally(cells);
+        if size < self.min_support {
+            // Anti-monotone bound: |A ∧ B| ≤ |A|, so every descendant is
+            // also under support — the subtree is never generated.
+            self.pruned += 1;
+            return;
+        }
+        if size < self.n {
             let comp_n = self.n - size;
             let comp_pos = self.total_pos - pos;
             let test = two_proportion_z(pos as u64, size as u64, comp_pos as u64, comp_n as u64);
             if test.p_value < self.alpha {
                 let rate = pos as f64 / size as f64;
                 let complement_rate = comp_pos as f64 / comp_n as f64;
-                out.push(RawFinding {
-                    conds: conds.clone(),
+                // Conditions are rendered only for reported findings.
+                let conditions = conds
+                    .iter()
+                    .map(|&(c, lv)| {
+                        let view = &self.views[c];
+                        (view.name.to_owned(), view.levels[lv as usize].clone())
+                    })
+                    .collect();
+                self.findings.push(SubgroupFinding {
+                    conditions,
                     size,
                     rate,
                     complement_rate,
@@ -220,25 +324,8 @@ impl Lattice<'_> {
                 });
             }
         }
-        if size < self.min_support {
-            // Anti-monotone bound: |A ∧ B| ≤ |A|, so every descendant is
-            // also under support — the subtree is never generated.
-            stats.pruned += 1;
-            return;
-        }
-        if conds.len() >= self.max_depth {
-            return;
-        }
-        let (child_mask, deeper) = scratch
-            .split_first_mut()
-            .expect("scratch depth matches max_depth");
-        for ci in last_ci + 1..self.views.len() {
-            for level in 0..self.views[ci].levels.len() as u32 {
-                mask.and_into(&self.masks[ci][level as usize], child_mask);
-                conds.push((ci, level));
-                self.dfs(child_mask, ci, conds, deeper, out, stats);
-                conds.pop();
-            }
+        if conds.len() < self.max_depth {
+            self.extend(cells, ci + 1, conds);
         }
     }
 }
@@ -248,9 +335,7 @@ impl SubgroupAuditor {
     /// `decisions`, returning significant findings sorted by |gap|
     /// descending.
     ///
-    /// Runs the bitset lattice engine with automatic parallelism and no
-    /// telemetry — see [`SubgroupAuditor::audit_observed`] for both
-    /// knobs. The result is identical for every thread count.
+    /// Runs without telemetry — see [`SubgroupAuditor::audit_observed`].
     pub fn audit(
         &self,
         ds: &Dataset,
@@ -260,22 +345,18 @@ impl SubgroupAuditor {
         self.audit_observed(ds, columns, decisions, 0, &Telemetry::off())
     }
 
-    /// [`SubgroupAuditor::audit`] with explicit worker-thread count
-    /// (`0` = available parallelism) and a telemetry handle.
-    ///
-    /// Each seed `(column, level)` subtree is an independent work unit
-    /// fanned out over scoped threads; per-seed findings merge in seed
-    /// order, so the output is **bitwise-identical** to the
-    /// single-threaded run. Telemetry records a `subgroup_audit_started`
-    /// event, a `subgroup.seed` span per subtree and the
+    /// [`SubgroupAuditor::audit`] with a telemetry handle, which records
+    /// a `subgroup_audit_started` event, a `subgroup.audit` span and the
     /// `subgroup.nodes_visited` / `subgroup.nodes_pruned` /
     /// `subgroup.findings` counters.
+    ///
+    /// `_threads` has no effect: the walk runs on the calling thread.
     pub fn audit_observed(
         &self,
         ds: &Dataset,
         columns: &[&str],
         decisions: &[bool],
-        threads: usize,
+        _threads: usize,
         telemetry: &Telemetry,
     ) -> Result<Vec<SubgroupFinding>, String> {
         if decisions.len() != ds.n_rows() {
@@ -286,104 +367,39 @@ impl SubgroupAuditor {
         }
         let _span = telemetry.span("subgroup.audit");
         let views = build_views(ds, columns)?;
-        let n = decisions.len();
         if telemetry.is_enabled() {
             telemetry.emit(FairnessEvent::SubgroupAuditStarted {
-                rows: n,
+                rows: decisions.len(),
                 columns: columns.iter().map(|&c| c.to_owned()).collect(),
                 max_depth: self.max_depth,
                 min_support: self.min_support,
             });
         }
 
-        // Columnar layout, built once: per-(column, level) row masks and
-        // one decisions mask. Every per-node count below is popcount
-        // work over these.
-        let masks: Vec<Vec<RowMask>> = views
-            .iter()
-            .map(|v| RowMask::level_masks(&v.codes, v.levels.len()))
-            .collect();
-        let decisions_mask = RowMask::from_bools(decisions);
-        let total_pos = decisions_mask.count_ones();
-
-        let lattice = Lattice {
+        let table = CountTable::build(&views, decisions);
+        let root = table.all_cells();
+        let (n, total_pos) = table.tally(&root);
+        let mut walk = Walk {
             views: &views,
-            masks: &masks,
-            decisions: &decisions_mask,
+            table: &table,
             n,
             total_pos,
-            // A conjunct extends a node with a strictly later column, so
-            // no node is deeper than the column count; the clamp bounds
-            // the per-seed scratch masks without changing any finding.
-            max_depth: self.max_depth.min(views.len()),
-            min_support: self.min_support,
+            max_depth: self.max_depth,
+            min_support: self.min_support.max(1),
             alpha: self.alpha,
+            findings: Vec::new(),
+            visited: 0,
+            pruned: 0,
         };
-        let seeds: Vec<(usize, u32)> = views
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, v)| (0..v.levels.len() as u32).map(move |lv| (ci, lv)))
-            .collect();
-        let requested = if threads > 0 {
-            threads
-        } else {
-            fairbridge_tabular::par::available_workers()
-        };
-        // Size-aware dispatch: a seed subtree's work is dominated by
-        // AND+popcount passes over n-row masks, so `rows × seeds` is the
-        // unit count. BENCH_subgroup.json showed the benchmark-size
-        // lattice (a few thousand rows, ~a dozen seeds) losing to the
-        // inline scan at depths 2–3; the clamp keeps those serial while
-        // census-scale datasets still fan out. Merge order is seed order
-        // either way, so results are identical.
-        let workers = size_aware_workers(
-            requested,
-            seeds.len(),
-            n.saturating_mul(seeds.len()),
-            SEED_MIN_UNITS_PER_WORKER,
-        );
-
-        // Deterministic fan-out: workers pull seed indices from a shared
-        // counter, results slot back in seed order (the same sharding
-        // pattern as the engine's metric scan).
-        let results = ordered_parallel_map(seeds.len(), workers, |i| {
-            let (ci, lv) = seeds[i];
-            let _seed_span = telemetry.span("subgroup.seed");
-            lattice.explore_seed(ci, lv)
-        });
-
-        let mut stats = SeedStats::default();
-        let mut findings: Vec<SubgroupFinding> = Vec::new();
-        for (raw, seed_stats) in results {
-            stats.visited += seed_stats.visited;
-            stats.pruned += seed_stats.pruned;
-            // Render conditions only now, for reported findings: one
-            // string clone per reported condition, none per node.
-            findings.extend(raw.into_iter().map(|f| {
-                SubgroupFinding {
-                    conditions: f
-                        .conds
-                        .iter()
-                        .map(|&(ci, lv)| {
-                            (
-                                views[ci].name.to_owned(),
-                                views[ci].levels[lv as usize].clone(),
-                            )
-                        })
-                        .collect(),
-                    size: f.size,
-                    rate: f.rate,
-                    complement_rate: f.complement_rate,
-                    gap: f.gap,
-                    p_value: f.p_value,
-                }
-            }));
-        }
+        // The root is every cell; its children are the depth-1 seeds in
+        // `(column, code)` order.
+        walk.extend(&root, 0, &mut Vec::new());
+        let mut findings = walk.findings;
         if telemetry.is_enabled() {
             telemetry
                 .counter("subgroup.nodes_visited")
-                .add(stats.visited);
-            telemetry.counter("subgroup.nodes_pruned").add(stats.pruned);
+                .add(walk.visited);
+            telemetry.counter("subgroup.nodes_pruned").add(walk.pruned);
             telemetry
                 .counter("subgroup.findings")
                 .add(findings.len() as u64);
@@ -650,6 +666,74 @@ mod tests {
                 .unwrap();
             assert_eq!(serial, parallel, "{threads} threads");
         }
+    }
+
+    /// `g` has a level no row has and no row is `g=a ∧ h=y`.
+    fn with_empty_subgroups() -> (Dataset, Vec<bool>) {
+        let decisions = vec![true, true, false, false, true, false, false, true];
+        let ds = Dataset::builder()
+            .categorical_with_role(
+                "g",
+                vec!["a", "b", "unused"],
+                vec![0, 0, 0, 1, 1, 1, 1, 1],
+                fairbridge_tabular::Role::Protected,
+            )
+            .categorical_with_role(
+                "h",
+                vec!["x", "y"],
+                vec![0, 0, 0, 0, 1, 1, 0, 1],
+                fairbridge_tabular::Role::Protected,
+            )
+            .build()
+            .unwrap();
+        (ds, decisions)
+    }
+
+    #[test]
+    fn min_support_zero_prunes_empty_subgroups_instead_of_testing_them() {
+        let (ds, decisions) = with_empty_subgroups();
+        let sink = std::sync::Arc::new(fairbridge_obs::RingSink::with_capacity(64));
+        let telemetry = Telemetry::new(sink);
+        let zero = SubgroupAuditor {
+            max_depth: 2,
+            min_support: 0,
+            alpha: 1.0,
+        };
+        let findings = zero
+            .audit_observed(&ds, &["g", "h"], &decisions, 0, &telemetry)
+            .unwrap();
+        let one = SubgroupAuditor {
+            min_support: 1,
+            ..zero
+        };
+        assert_eq!(findings, one.audit(&ds, &["g", "h"], &decisions).unwrap());
+        let counters: std::collections::BTreeMap<String, u64> =
+            telemetry.counter_values().into_iter().collect();
+        // Five seeds and the four children of `g=a` and `g=b`; the
+        // empty `g=unused` and `g=a ∧ h=y` are the pruned nodes.
+        assert_eq!(counters["subgroup.nodes_visited"], 9);
+        assert_eq!(counters["subgroup.nodes_pruned"], 2);
+    }
+
+    #[test]
+    fn codes_outside_the_dictionary_are_an_error() {
+        let ds = Dataset::builder()
+            .boolean("y", vec![true, false])
+            .build()
+            .unwrap()
+            .with_column(
+                "g",
+                Column::Categorical {
+                    levels: vec!["a".into()],
+                    codes: vec![0, 1],
+                },
+                fairbridge_tabular::Role::Protected,
+            )
+            .unwrap();
+        let err = SubgroupAuditor::default()
+            .audit(&ds, &["g"], &[true, false])
+            .unwrap_err();
+        assert!(err.contains("outside its 1 levels"), "{err}");
     }
 
     #[test]

@@ -477,3 +477,240 @@ fn pruning_counters_match_independent_node_budget() {
         assert!(expected_visited >= expected_pruned);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Count-table coverage: shapes the random suites above do not draw —
+// levels no row has, a dictionary that repeats a level name, boolean
+// columns, support 1, many levels, and both sides of the bound between
+// the dense table (level-count product ≤ rows) and one cell per row.
+// ---------------------------------------------------------------------------
+
+/// Findings as a multiset, in the order of their debug rendering: two
+/// findings whose conditions read alike (a repeated level name) are
+/// told apart by their counts.
+fn as_multiset(findings: Vec<SubgroupFinding>) -> Vec<String> {
+    let mut rendered: Vec<String> = findings.iter().map(|f| format!("{f:?}")).collect();
+    rendered.sort();
+    rendered
+}
+
+fn assert_agrees_with_oracle(
+    auditor: &SubgroupAuditor,
+    ds: &Dataset,
+    columns: &[&str],
+    decisions: &[bool],
+    what: &str,
+) {
+    let fast = auditor.audit(ds, columns, decisions).unwrap();
+    let naive = audit_naive(auditor, ds, columns, decisions).unwrap();
+    assert_eq!(as_multiset(fast), as_multiset(naive), "{what}");
+}
+
+/// `n` rows over categorical columns `c0, c1, …` with the given
+/// dictionaries; column `c`'s codes are drawn from `used[c]` only.
+fn dictionary_data<R: Rng>(
+    rng: &mut R,
+    n: usize,
+    dictionaries: &[Vec<String>],
+    used: &[Vec<u32>],
+) -> (Dataset, Vec<String>, Vec<bool>) {
+    let mut builder = Dataset::builder();
+    let mut names = Vec::new();
+    for (c, (levels, used)) in dictionaries.iter().zip(used).enumerate() {
+        let codes: Vec<u32> = (0..n).map(|_| used[rng.gen_range(0..used.len())]).collect();
+        let name = format!("c{c}");
+        builder = builder.categorical_with_role(&name, levels.clone(), codes, Role::Protected);
+        names.push(name);
+    }
+    let decisions: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
+    (builder.build().unwrap(), names, decisions)
+}
+
+fn level_names(n_levels: usize) -> Vec<String> {
+    (0..n_levels).map(|l| format!("l{l}")).collect()
+}
+
+#[test]
+fn oracle_agrees_on_levels_no_row_has() {
+    let mut rng = StdRng::seed_from_u64(0xC0_0001);
+    for case in 0..CASES {
+        let n_cols = rng.gen_range(2..4usize);
+        let dictionaries: Vec<Vec<String>> = (0..n_cols)
+            .map(|_| level_names(rng.gen_range(3..6usize)))
+            .collect();
+        // Every column skips its level 1 and its last level.
+        let used: Vec<Vec<u32>> = dictionaries
+            .iter()
+            .map(|d| (0..d.len() as u32 - 1).filter(|&l| l != 1).collect())
+            .collect();
+        let n = rng.gen_range(20..200usize);
+        let (ds, names, decisions) = dictionary_data(&mut rng, n, &dictionaries, &used);
+        let columns: Vec<&str> = names.iter().map(String::as_str).collect();
+        for max_depth in 1..=3 {
+            let auditor = SubgroupAuditor {
+                max_depth,
+                min_support: rng.gen_range(1..6usize),
+                alpha: 1.0,
+            };
+            assert_agrees_with_oracle(
+                &auditor,
+                &ds,
+                &columns,
+                &decisions,
+                &format!("case {case}, depth {max_depth}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn oracle_agrees_on_a_repeated_level_name() {
+    let mut rng = StdRng::seed_from_u64(0xC0_0002);
+    let names = |ls: &[&str]| ls.iter().map(|&l| l.to_owned()).collect::<Vec<_>>();
+    let dictionaries = [names(&["a", "b", "a"]), names(&["x", "x"])];
+    let used = [vec![0, 1, 2], vec![0, 1]];
+    for case in 0..CASES {
+        let n = rng.gen_range(20..200usize);
+        let (ds, names, decisions) = dictionary_data(&mut rng, n, &dictionaries, &used);
+        let columns: Vec<&str> = names.iter().map(String::as_str).collect();
+        let auditor = SubgroupAuditor {
+            max_depth: 2,
+            min_support: rng.gen_range(1..6usize),
+            alpha: 1.0,
+        };
+        let findings = auditor.audit(&ds, &columns, &decisions).unwrap();
+        // Both codes named `a` are their own subgroups.
+        let named_a = findings.iter().filter(|f| f.describe() == "c0=a").count();
+        assert_eq!(named_a, 2, "case {case}: {findings:?}");
+        assert_agrees_with_oracle(&auditor, &ds, &columns, &decisions, &format!("case {case}"));
+    }
+}
+
+#[test]
+fn oracle_agrees_on_a_boolean_column() {
+    let mut rng = StdRng::seed_from_u64(0xC0_0003);
+    for case in 0..CASES {
+        let n = rng.gen_range(20..200usize);
+        let flag: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
+        let group: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3usize) as u32).collect();
+        let decisions: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+        let ds = Dataset::builder()
+            .boolean_with_role("flag", flag, Role::Protected)
+            .categorical_with_role("g", vec!["a", "b", "c"], group, Role::Protected)
+            .build()
+            .unwrap();
+        for columns in [&["flag", "g"][..], &["g", "flag"], &["flag"]] {
+            let auditor = SubgroupAuditor {
+                max_depth: 2,
+                min_support: rng.gen_range(1..6usize),
+                alpha: 1.0,
+            };
+            assert_agrees_with_oracle(
+                &auditor,
+                &ds,
+                columns,
+                &decisions,
+                &format!("case {case}, {columns:?}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn oracle_agrees_at_support_one() {
+    let mut rng = StdRng::seed_from_u64(0xC0_0004);
+    for case in 0..CASES {
+        let (ds, names, decisions) = wide_audit_data(&mut rng);
+        let columns: Vec<&str> = names.iter().map(String::as_str).collect();
+        for max_depth in 1..=3 {
+            for alpha in [1.0, 0.2] {
+                let auditor = SubgroupAuditor {
+                    max_depth,
+                    min_support: 1,
+                    alpha,
+                };
+                assert_agrees_with_oracle(
+                    &auditor,
+                    &ds,
+                    &columns,
+                    &decisions,
+                    &format!("case {case}, depth {max_depth}, alpha {alpha}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn oracle_agrees_on_a_1000_level_column() {
+    let mut rng = StdRng::seed_from_u64(0xC0_0005);
+    let dictionaries = [level_names(3), level_names(1000)];
+    let used = [vec![0, 1, 2], (0..1000).collect::<Vec<u32>>()];
+    // 2 000 rows sit under the 3 000-cell product, 4 000 over it.
+    for n in [2000, 4000] {
+        let (ds, names, decisions) = dictionary_data(&mut rng, n, &dictionaries, &used);
+        let columns: Vec<&str> = names.iter().map(String::as_str).collect();
+        for min_support in [1, 4] {
+            let auditor = SubgroupAuditor {
+                max_depth: 2,
+                min_support,
+                alpha: 1.0,
+            };
+            assert_agrees_with_oracle(
+                &auditor,
+                &ds,
+                &columns,
+                &decisions,
+                &format!("{n} rows, support {min_support}"),
+            );
+        }
+    }
+}
+
+/// Seeded cases around the bound between the dense table and one cell
+/// per row: findings equal the oracle's and the node counters equal the
+/// independent budget on both sides, and both sides are drawn.
+#[test]
+fn oracle_and_node_budget_agree_on_both_sides_of_the_dense_bound() {
+    let mut rng = StdRng::seed_from_u64(0xC0_0006);
+    let (mut dense, mut per_row) = (0, 0);
+    for case in 0..64 {
+        let n = rng.gen_range(4..64usize);
+        let n_cols = rng.gen_range(1..4usize);
+        let dictionaries: Vec<Vec<String>> = (0..n_cols)
+            .map(|_| level_names(rng.gen_range(1..9usize)))
+            .collect();
+        let used: Vec<Vec<u32>> = dictionaries
+            .iter()
+            .map(|d| (0..d.len() as u32).collect())
+            .collect();
+        let (ds, names, decisions) = dictionary_data(&mut rng, n, &dictionaries, &used);
+        let columns: Vec<&str> = names.iter().map(String::as_str).collect();
+        let product: usize = dictionaries.iter().map(Vec::len).product();
+        if product <= n {
+            dense += 1;
+        } else {
+            per_row += 1;
+        }
+        let auditor = SubgroupAuditor {
+            max_depth: rng.gen_range(1..4usize),
+            min_support: rng.gen_range(1..5usize),
+            alpha: if rng.gen_bool(0.5) { 1.0 } else { 0.3 },
+        };
+        let what = format!("case {case}: {n} rows, {product} cells");
+        assert_agrees_with_oracle(&auditor, &ds, &columns, &decisions, &what);
+
+        let (visited, pruned) =
+            expected_node_budget(&ds, &columns, auditor.max_depth, auditor.min_support);
+        let sink = std::sync::Arc::new(fairbridge_obs::RingSink::with_capacity(1 << 10));
+        let telemetry = Telemetry::new(sink);
+        auditor
+            .audit_observed(&ds, &columns, &decisions, 0, &telemetry)
+            .unwrap();
+        let counters: std::collections::BTreeMap<String, u64> =
+            telemetry.counter_values().into_iter().collect();
+        assert_eq!(counters["subgroup.nodes_visited"], visited, "{what}");
+        assert_eq!(counters["subgroup.nodes_pruned"], pruned, "{what}");
+    }
+    assert!(dense > 0 && per_row > 0, "{dense} dense, {per_row} per-row");
+}

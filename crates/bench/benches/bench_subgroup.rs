@@ -1,11 +1,10 @@
 //! Bench for experiment E10: subgroup auditing — exhaustive
 //! enumeration vs the learned tree auditor, and the exponential cost of
 //! depth (the paper's IV.C "computational issues ... complexity increases
-//! exponentially"). The `subgroup_lattice` group measures the bitset
-//! lattice engine, serial and parallel, at depths 2 and 3.
+//! exponentially"). The `subgroup_lattice` group measures the lattice
+//! over a many-level column.
 
 use fairbridge::audit::subgroup::{tree_audit, SubgroupAuditor};
-use fairbridge::obs::Telemetry;
 use fairbridge::prelude::*;
 use fairbridge::stats::descriptive::bin_codes;
 use fairbridge::tabular::Column;
@@ -76,63 +75,42 @@ fn bench_subgroup(c: &mut Criterion) {
     group.finish();
 }
 
-/// The bitset lattice engine, serial and parallel, on the same audit.
+/// The lattice over a 1000-level column: the node count grows with the
+/// level count (every level of a later column is a child). The four
+/// columns' 12 000 code tuples outnumber the 10 000 rows, so this row
+/// measures the one-cell-per-row table; the `subgroup_e10` rows measure
+/// the dense one.
 fn bench_lattice(c: &mut Criterion) {
     let mut group = c.benchmark_group("subgroup_lattice");
     let ds = setup(10_000);
+    let n_levels = 1000usize;
+    let bucket: Vec<u32> = (0..ds.n_rows())
+        .map(|i| (i.wrapping_mul(7919) % n_levels) as u32)
+        .collect();
+    let ds = ds
+        .with_column(
+            "bucket",
+            Column::categorical_from_codes(
+                (0..n_levels).map(|l| format!("b{l}")).collect(),
+                bucket,
+                "bucket",
+            )
+            .unwrap(),
+            Role::Feature,
+        )
+        .unwrap();
     let decisions = ds.labels().unwrap().to_vec();
-    let cols = ["gender", "race", "score_bin", "tenure_bin"];
-    let telemetry = Telemetry::off();
-    for depth in [2usize, 3] {
-        let auditor = SubgroupAuditor {
-            max_depth: depth,
-            min_support: 20,
-            alpha: 0.05,
-        };
-        group.bench_with_input(BenchmarkId::new("bitset_depth", depth), &depth, |b, _| {
-            b.iter(|| {
-                black_box(
-                    auditor
-                        .audit_observed(&ds, &cols, &decisions, 1, &telemetry)
-                        .unwrap(),
-                )
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("bitset_parallel_depth", depth),
-            &depth,
-            |b, _| {
-                b.iter(|| {
-                    black_box(
-                        auditor
-                            .audit_observed(&ds, &cols, &decisions, 0, &telemetry)
-                            .unwrap(),
-                    )
-                })
-            },
-        );
-    }
+    let cols = ["gender", "race", "score_bin", "bucket"];
+    let auditor = SubgroupAuditor {
+        max_depth: 2,
+        min_support: 20,
+        alpha: 0.05,
+    };
+    group.bench_with_input(BenchmarkId::new("levels", n_levels), &n_levels, |b, _| {
+        b.iter(|| black_box(auditor.audit(&ds, &cols, &decisions).unwrap()))
+    });
     group.finish();
 }
 
-/// The fused popcount primitive under the lattice engine at 10⁵ and
-/// 10⁶ rows. One row per size: measurement showed the 4-word batched
-/// body and the single-accumulator reference are at timing parity on
-/// current hardware (the compiler already unrolls and the loop is
-/// popcount-throughput-bound either way — see EXPERIMENTS.md), so the
-/// unbatched arm no longer earns a baseline row.
-fn bench_count_and(c: &mut Criterion) {
-    use fairbridge::tabular::bitset::RowMask;
-    let mut group = c.benchmark_group("subgroup_lattice");
-    for n_bits in [100_000usize, 1_000_000] {
-        let a = RowMask::from_indices(n_bits, (0..n_bits).filter(|i| i % 3 == 0));
-        let b_mask = RowMask::from_indices(n_bits, (0..n_bits).filter(|i| i % 5 != 1));
-        group.bench_with_input(BenchmarkId::new("count_and", n_bits), &n_bits, |b, _| {
-            b.iter(|| black_box(a.count_and(&b_mask)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_subgroup, bench_lattice, bench_count_and);
+criterion_group!(benches, bench_subgroup, bench_lattice);
 criterion_main!(benches);

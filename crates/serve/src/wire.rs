@@ -762,6 +762,36 @@ mod tests {
         assert_eq!(audit("64"), at_column_count);
     }
 
+    /// An empty depth-2 subgroup (no row is `sex=f ∧ age=mid`) under
+    /// `"min_group_size":0` is not tested, so the audit answers 200, the
+    /// same as under bound 1.
+    #[test]
+    fn min_group_size_zero_with_an_empty_intersection_is_200() {
+        let body = |min_group_size: u32| {
+            format!(
+                concat!(
+                    "{{\"dataset\":{{\"columns\":[",
+                    "{{\"name\":\"sex\",\"type\":\"categorical\",\"role\":\"protected\",",
+                    "\"levels\":[\"m\",\"f\"],\"codes\":[0,0,0,0,1,1,1,1]}},",
+                    "{{\"name\":\"age\",\"type\":\"categorical\",\"role\":\"protected\",",
+                    "\"levels\":[\"young\",\"old\",\"mid\"],\"codes\":[0,1,2,0,0,1,1,0]}},",
+                    "{{\"name\":\"hired\",\"type\":\"boolean\",\"role\":\"label\",",
+                    "\"values\":[true,true,true,false,true,false,false,false]}}",
+                    "]}},\"protected\":[\"sex\",\"age\"],\"use_labels\":true,",
+                    "\"min_group_size\":{},\"subgroup_depth\":2}}"
+                ),
+                min_group_size
+            )
+        };
+        let engine = Engine::new(EngineConfig::default());
+        let zero = handle_audit(&engine, body(0).as_bytes(), &Telemetry::off());
+        assert_eq!(zero.status, 200, "{}", String::from_utf8_lossy(&zero.body));
+        assert_eq!(
+            zero,
+            handle_audit(&engine, body(1).as_bytes(), &Telemetry::off())
+        );
+    }
+
     /// 60 rows whose protected column `g` is spelled `g_column` (its
     /// type and row fields), with a proxy feature `uni` that mostly
     /// follows `g` and a label skewed against `g = true`.

@@ -61,14 +61,15 @@ pub fn simd_active() -> bool {
 /// pairwise in the fixed order
 /// `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) + tail`. Dispatches to the
 /// AVX2 kernel when available (bitwise-identical), else runs
-/// [`dot_fused`].
+/// [`dot_fused`]. Every NaN result is the quiet NaN
+/// `0x7ff8000000000000`.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd::avx2_available() {
-        return simd::dot_avx2(a, b);
+        return canonical_nan(simd::dot_avx2(a, b));
     }
-    dot_fused(a, b)
+    canonical_nan(dot_fused(a, b))
 }
 
 /// Sum reduction with the same fixed eight-lane combine order as
@@ -77,13 +78,26 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// rather than `.sum::<f64>()`, so the combination order — and
 /// therefore the result bits — is pinned by one function instead of
 /// re-derived at every call site. Dispatches to AVX2 when available.
+/// Every NaN result is the quiet NaN `0x7ff8000000000000`.
 #[inline]
 pub fn sum(a: &[f64]) -> f64 {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd::avx2_available() {
-        return simd::sum_avx2(a);
+        return canonical_nan(simd::sum_avx2(a));
     }
-    sum_fused(a)
+    canonical_nan(sum_fused(a))
+}
+
+/// `x`, or the positive quiet NaN `0x7ff8000000000000` if `x` is any
+/// NaN. Which NaN an IEEE add returns from two NaN operands depends on
+/// their order, which the optimizer may choose differently at each
+/// inlined call site; mapping every NaN to one keeps the scalar
+/// reductions' bits the same on every call. Selected as an integer so
+/// the compiler cannot treat the two NaNs as interchangeable.
+#[inline]
+fn canonical_nan(x: f64) -> f64 {
+    const QUIET_NAN: u64 = 0x7ff8_0000_0000_0000;
+    f64::from_bits(if x.is_nan() { QUIET_NAN } else { x.to_bits() })
 }
 
 /// `y += alpha · x`, eight-wide. Each output slot is an independent

@@ -18,11 +18,8 @@
 //!   cheap integer bucketing.
 //! * The dataset is immutable-by-default; transformations produce new
 //!   datasets or row-index views, which keeps audit trails honest.
-//! * [`bitset::RowMask`] packs row sets into `u64` words so subgroup
-//!   enumeration runs on AND + popcount instead of index-vector
-//!   filtering, and [`par`] provides the deterministic order-preserving
-//!   parallel map that the engine's shard scan and the subgroup lattice
-//!   both fan out over.
+//! * [`par`] provides the deterministic order-preserving parallel map
+//!   that every fan-out in the workspace goes through.
 //!
 //! ```
 //! use fairbridge_tabular::{Dataset, Role};
@@ -41,7 +38,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bitset;
 pub mod column;
 pub mod dataset;
 pub mod error;
@@ -52,7 +48,6 @@ pub mod profile;
 pub mod schema;
 pub mod value;
 
-pub use bitset::RowMask;
 pub use column::Column;
 pub use dataset::{Dataset, DatasetBuilder};
 pub use error::{Error, Result, TabularError};

@@ -1,7 +1,7 @@
 //! Deterministic order-preserving parallel execution over indexed tasks.
 //!
-//! Both the sharded metric scan in `fairbridge-engine` and the parallel
-//! subgroup-lattice enumeration in `fairbridge-audit` follow the same
+//! The sharded metric scan in `fairbridge-engine`, the bootstrap, the
+//! Sinkhorn half-passes and the trainer's gradient chunks follow the same
 //! pattern: `n` independent work units identified by index, a pool of
 //! scoped worker threads pulling indices from a shared atomic counter,
 //! and a merge that consumes results **in task-index order** so the
